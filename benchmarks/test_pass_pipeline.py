@@ -12,9 +12,11 @@ committed ``current`` block — i.e. against the numbers recorded when the traje
 last updated — rescaled by the machine-speed calibration probe both reports embed, so a
 slower CI runner does not trip the gate.
 
-Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) shrinks the suite to one small
-benchmark and writes to ``benchmarks/results/bench_transpile_smoke.json`` instead, so a
-quick run never clobbers the committed full trajectory.
+Only an explicit ``REPRO_BENCH_FULL=1`` run updates the committed trajectory.  A default
+run (the tier-1 suite) writes its report to
+``benchmarks/results/bench_transpile.json``, and smoke mode (``REPRO_BENCH_SMOKE=1``,
+used by CI) shrinks the suite to one small benchmark and writes to
+``benchmarks/results/bench_transpile_smoke.json``, so neither ever clobbers the ledger.
 
 Repeat runs per case with ``REPRO_BENCH_REPEATS=N`` (default 1) for tighter
 mean/median estimates.
@@ -35,6 +37,7 @@ from repro.schedule import schedule_circuit
 from bench_config import QUICK_TABLE_NAMES, RESULTS_DIR, SEEDS, save_report
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") not in ("0", "", "false")
+FULL = os.environ.get("REPRO_BENCH_FULL", "0") not in ("0", "", "false")
 PIPELINE_NAMES = ["grover_n4"] if SMOKE else QUICK_TABLE_NAMES
 PIPELINE_METHODS = ("none", "sabre", "nassc")
 PIPELINE_SEED = SEEDS[0]
@@ -47,6 +50,11 @@ BEST_OF_METHODS = ("sabre", "nassc") if BEST_OF > 1 else ()
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_transpile.json")
 SMOKE_REPORT_PATH = os.path.join(RESULTS_DIR, "bench_transpile_smoke.json")
+DEFAULT_REPORT_PATH = os.path.join(RESULTS_DIR, "bench_transpile.json")
+#: Where this run's ``{"current": ...}`` report goes (only a full run updates the ledger).
+REPORT_PATH = (
+    SMOKE_REPORT_PATH if SMOKE else TRAJECTORY_PATH if FULL else DEFAULT_REPORT_PATH
+)
 
 
 def pipeline_devices():
@@ -269,9 +277,9 @@ def pipeline_report(pipeline_timings, duration_cost_summary):
     summary = _summarise(pipeline_timings)
     summary["duration_cost_summary"] = duration_cost_summary
 
-    if SMOKE:
+    if REPORT_PATH != TRAJECTORY_PATH:
         os.makedirs(RESULTS_DIR, exist_ok=True)
-        with open(SMOKE_REPORT_PATH, "w", encoding="utf-8") as handle:
+        with open(REPORT_PATH, "w", encoding="utf-8") as handle:
             json.dump({"current": summary}, handle, indent=2)
     else:
         trajectory = {}
@@ -335,18 +343,16 @@ def test_breakdown_written(pipeline_report):
 
 
 def test_trajectory_file_has_baseline_and_current(pipeline_report):
-    """The committed trajectory file always carries both blocks with comparable rows."""
-    path = SMOKE_REPORT_PATH if SMOKE else TRAJECTORY_PATH
-    assert os.path.exists(path)
-    with open(path, encoding="utf-8") as handle:
+    """This run's report has a ``current`` block, and the committed trajectory file
+    always carries both blocks with comparable rows."""
+    with open(REPORT_PATH, encoding="utf-8") as handle:
+        assert "current" in json.load(handle)
+    with open(TRAJECTORY_PATH, encoding="utf-8") as handle:
         trajectory = json.load(handle)
-    assert "current" in trajectory
-    if not SMOKE:
-        assert "baseline" in trajectory
-        for block in ("baseline", "current"):
-            for row in trajectory[block]["rows"]:
-                assert {"device", "benchmark", "routing", "wall_time_mean",
-                        "wall_time_median"} <= set(row)
+    for block in ("baseline", "current"):
+        for row in trajectory[block]["rows"]:
+            assert {"device", "benchmark", "routing", "wall_time_mean",
+                    "wall_time_median"} <= set(row)
 
 
 def test_best_of_rows_recorded(pipeline_report):

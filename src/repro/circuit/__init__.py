@@ -2,7 +2,7 @@
 
 from .gates import Gate, GateSpec, GATE_SPECS, HARDWARE_BASIS, SELF_INVERSE_GATES, gate, unitary_gate
 from .circuit import Instruction, QuantumCircuit, expand_gate_matrix
-from .dag import DAGCircuit, DAGNode, ExecutionFrontier, StreamingDAG
+from .dag import DAGCircuit, DAGNode, StreamingDAG
 from .random import random_circuit, random_circuit_stream, random_cx_circuit, random_unitary
 from . import qasm
 
@@ -19,7 +19,6 @@ __all__ = [
     "expand_gate_matrix",
     "DAGCircuit",
     "DAGNode",
-    "ExecutionFrontier",
     "StreamingDAG",
     "random_circuit",
     "random_circuit_stream",

@@ -22,7 +22,8 @@ two invariants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import CircuitError
@@ -393,120 +394,24 @@ class DAGCircuit:
         return f"DAGCircuit(qubits={self.num_qubits}, nodes={len(self.nodes)})"
 
 
-class ExecutionFrontier:
-    """Incremental front-layer tracker used by the routing passes.
-
-    Routing repeatedly asks "which gates are currently executable?" and "resolve this gate".
-    Rebuilding the front layer from scratch each time would be quadratic, so this helper keeps
-    the remaining in-degree of every unresolved node and exposes O(out-degree) resolution.
-    """
-
-    def __init__(self, dag: DAGCircuit) -> None:
-        self.dag = dag
-        self._remaining_pred: Dict[int, int] = {
-            nid: len(dag._predecessors[nid]) for nid in dag.nodes
-        }
-        self._front: List[DAGNode] = [
-            dag.nodes[nid]
-            for nid in dag._insertion_order
-            if nid in dag.nodes and self._remaining_pred[nid] == 0
-        ]
-        self._resolved: Set[int] = set()
-        self._version = 0
-        # The input DAG is never mutated while a frontier walks it, so the sorted
-        # successor lists (consulted once per resolve and per lookahead visit) are
-        # computed at most once per node.
-        self._sorted_successors: Dict[int, List[int]] = {}
-
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped on every :meth:`resolve`.
-
-        The lookahead result is a pure function of the resolved/front state, so callers
-        issuing several queries between resolutions (e.g. a router inserting a run of
-        SWAPs without executing a gate) can reuse the previous answer while the version
-        is unchanged.
-        """
-        return self._version
-
-    def _successors_sorted(self, node_id: int) -> List[int]:
-        cached = self._sorted_successors.get(node_id)
-        if cached is None:
-            cached = sorted(self.dag._successors[node_id])
-            self._sorted_successors[node_id] = cached
-        return cached
-
-    @property
-    def front(self) -> List[DAGNode]:
-        return list(self._front)
-
-    def is_done(self) -> bool:
-        return not self._front
-
-    def num_remaining(self) -> int:
-        return len(self.dag.nodes) - len(self._resolved)
-
-    def resolve(self, node: DAGNode) -> List[DAGNode]:
-        """Mark a front-layer node as executed; returns newly executable nodes."""
-        if node not in self._front:
-            raise CircuitError(f"node {node.node_id} is not currently executable")
-        self._front.remove(node)
-        self._resolved.add(node.node_id)
-        self._version += 1
-        newly: List[DAGNode] = []
-        for succ_id in self._successors_sorted(node.node_id):
-            if succ_id not in self._remaining_pred:
-                continue
-            self._remaining_pred[succ_id] -= 1
-            if self._remaining_pred[succ_id] == 0 and succ_id not in self._resolved:
-                succ = self.dag.nodes[succ_id]
-                self._front.append(succ)
-                newly.append(succ)
-        return newly
-
-    def lookahead(self, size: int, *, two_qubit_only: bool = True) -> List[DAGNode]:
-        """The "extended layer": up to ``size`` closest successors of the front layer.
-
-        Traversal is breadth-first from the current front layer through unresolved nodes.
-        """
-        result: List[DAGNode] = []
-        visited: Set[int] = {n.node_id for n in self._front}
-        queue: List[int] = []
-        for node in self._front:
-            queue.extend(self._successors_sorted(node.node_id))
-        idx = 0
-        while idx < len(queue) and len(result) < size:
-            nid = queue[idx]
-            idx += 1
-            if nid in visited or nid in self._resolved or nid not in self.dag.nodes:
-                continue
-            visited.add(nid)
-            node = self.dag.nodes[nid]
-            if not two_qubit_only or node.is_two_qubit():
-                result.append(node)
-            queue.extend(self._successors_sorted(nid))
-        return result
-
-
 class StreamingDAG:
-    """Windowed dependency frontier over an instruction *stream*.
+    """Dependency frontier the routers walk, over an instruction *stream*.
 
-    Presents the :class:`ExecutionFrontier` protocol (``front`` / ``is_done`` /
-    ``resolve`` / ``lookahead`` / ``version``) that the routers walk, but never holds the
-    whole circuit: at most ``window_gates`` unresolved operations are admitted from the
-    source iterator at a time, and :meth:`resolve` deletes the retired node's
-    node/edge/wire bookkeeping before admitting replacements, so peak memory is
-    O(window + wires), not O(gates).
+    The router asks "which gates are executable now?" (:attr:`front`), "resolve this
+    gate" (:meth:`resolve`) and "which two-qubit gates come next?" (:meth:`lookahead`).
+    At most ``window_gates`` unresolved operations are admitted from the source iterator
+    at a time, and :meth:`resolve` deletes the retired node's node/edge/wire bookkeeping
+    before admitting replacements, so peak memory is O(window + wires), not O(gates).
+    In-memory routing is the special case of a window that admits the whole circuit up
+    front (:func:`repro.transpiler.passes.sabre.whole_frontier`).
 
     Dependency edges are the same wire edges :meth:`DAGCircuit.add_node` builds: each
     admitted operation depends on the *live* tail of every wire it touches (tails whose
     node has already been resolved impose no constraint).  Predecessors are deduplicated
     exactly like ``DAGCircuit``'s predecessor *sets*, so a two-qubit gate sharing both
-    wires with one predecessor counts it once.  Successor lists are naturally sorted and
-    unique (ids increase monotonically and each edge is recorded once), matching the
-    ``sorted(...)`` traversal order of :class:`ExecutionFrontier` — when the window covers
-    the whole circuit the two walks are step-for-step identical, which is what makes
-    whole-window streaming bit-identical to in-memory routing.
+    wires with one predecessor counts it once.  Node ids count admissions, so successor
+    lists are naturally sorted and unique; fed a DAG's ``op_nodes()`` (insertion order),
+    the walk visits successors in the DAG's dependency order.
 
     :meth:`lookahead` admits extra gates on demand (up to ``lookahead_spill`` times the
     window) when the BFS for the extended layer would otherwise run out of admitted
@@ -519,11 +424,11 @@ class StreamingDAG:
     be admitted with no predecessors and join the front out of order), pulling the
     source as needed within the same spill allowance.
 
-    The walk can diverge from the full-DAG frontier only when a cap binds: a wire that
-    idles for more than ``max_live_gates`` operations (spill cap reached while its
-    successor is still unread), or an operation with no predecessors that first appears
-    beyond the initial window fill.  Layered circuits where every qubit stays active
-    within the window — the paper's benchmark class — never hit either case.
+    A bounded window can diverge from the whole-circuit walk only when a cap binds: a
+    wire that idles for more than ``max_live_gates`` operations (spill cap reached while
+    its successor is still unread), or an operation with no predecessors that first
+    appears beyond the initial window fill.  Layered circuits where every qubit stays
+    active within the window — the paper's benchmark class — never hit either case.
     """
 
     def __init__(
@@ -550,13 +455,22 @@ class StreamingDAG:
         self.nodes: Dict[int, DAGNode] = {}
         self._successors: Dict[int, List[int]] = {}
         self._remaining_pred: Dict[int, int] = {}
-        self._wire_tail: Dict[Tuple[str, int], int] = {}
+        #: Live tail node id per wire; qubit ``q`` is keyed ``q``, clbit ``c`` ``-1 - c``
+        #: (integer keys keep admission free of per-wire tuple allocation).
+        self._wire_tail: Dict[int, int] = {}
         self._front: List[DAGNode] = []
         self._next_id = 0
         self._version = 0
         self.admitted = 0
         self.retired = 0
         self._fill()
+
+    @staticmethod
+    def _wire_keys(node: DAGNode) -> Sequence[int]:
+        """Keys of the node's wires in ``_wire_tail``: qubits first, then clbits."""
+        if not node.clbits:
+            return node.qubits
+        return list(node.qubits) + [-1 - c for c in node.clbits]
 
     # -- admission ---------------------------------------------------------
 
@@ -565,42 +479,56 @@ class StreamingDAG:
         self._fill_to(self.window_gates)
 
     def _fill_to(self, target_live: int) -> None:
-        while not self._source_done and len(self.nodes) < target_live:
-            inst = next(self._source, None)
+        nodes = self.nodes
+        source = self._source
+        admit = self._admit
+        while not self._source_done and len(nodes) < target_live:
+            inst = next(source, None)
             if inst is None:
                 self._source_done = True
                 return
-            self._admit(inst)
+            admit(inst)
 
-    def _admit(self, inst: Instruction) -> DAGNode:
+    def _admit(self, inst: Instruction) -> None:
         qubits = inst.qubits
+        num_qubits = self.num_qubits
         for q in qubits:
-            if not 0 <= q < self.num_qubits:
+            if not 0 <= q < num_qubits:
                 raise CircuitError(f"qubit {q} out of range")
-        node = DAGNode(self._next_id, inst.gate, qubits, inst.clbits)
-        self._next_id += 1
-        pred_ids: Set[int] = set()
-        for wire in DAGCircuit._node_wires(node):
-            tail = self._wire_tail.get(wire)
+        nid = self._next_id
+        self._next_id = nid + 1
+        node = DAGNode(nid, inst.gate, qubits, inst.clbits)
+        nodes = self.nodes
+        tails = self._wire_tail
+        preds: List[int] = []
+        for wire in self._wire_keys(node):
+            tail = tails.get(wire)
             # A stale tail (already resolved and deleted) imposes no constraint; live
             # node ids are unique so a dead id can never alias a live node.
-            if tail is not None and tail in self.nodes:
-                pred_ids.add(tail)
-            self._wire_tail[wire] = node.node_id
-        self.nodes[node.node_id] = node
-        self._successors[node.node_id] = []
-        self._remaining_pred[node.node_id] = len(pred_ids)
-        for pid in pred_ids:
-            self._successors[pid].append(node.node_id)
-        if not pred_ids:
+            if tail is not None and tail in nodes and tail not in preds:
+                preds.append(tail)
+            tails[wire] = nid
+        nodes[nid] = node
+        successors = self._successors
+        successors[nid] = []
+        for pid in preds:
+            successors[pid].append(nid)
+        self._remaining_pred[nid] = len(preds)
+        if not preds:
             self._front.append(node)
         self.admitted += 1
-        return node
 
-    # -- ExecutionFrontier protocol ---------------------------------------
+    # -- frontier protocol -------------------------------------------------
 
     @property
     def version(self) -> int:
+        """Monotone counter bumped on every :meth:`resolve`.
+
+        The lookahead result is a pure function of the resolved/front state, so callers
+        issuing several queries between resolutions (e.g. a router inserting a run of
+        SWAPs without executing a gate) can reuse the previous answer while the version
+        is unchanged.
+        """
         return self._version
 
     @property
@@ -612,65 +540,91 @@ class StreamingDAG:
             return False
         # Live non-front nodes can't exist with an empty front (every live node's
         # remaining predecessors are live), so an empty front means an empty window.
-        self._fill()
+        if not self._source_done:
+            self._fill()
         return not self._front
 
     def num_remaining(self) -> int:
         """Live (admitted, unresolved) operations; the unread tail is not counted."""
         return len(self.nodes)
 
+    def copy(self) -> "StreamingDAG":
+        """An independent walk starting from this frontier's current state.
+
+        Only a frontier whose source is exhausted can be copied: a stream cannot be
+        replayed.  Node records, successor lists and wire tails never change once the
+        source is exhausted, so they are shared, and a copy costs a few container
+        copies instead of re-admitting every gate — layout sweeps and ensemble trials
+        each walk a copy of one admitted frontier.
+        """
+        if not self._source_done:
+            raise CircuitError("only a fully admitted StreamingDAG can be copied")
+        clone = copy.copy(self)
+        clone.nodes = dict(self.nodes)
+        clone._successors = dict(self._successors)
+        clone._remaining_pred = dict(self._remaining_pred)
+        clone._front = list(self._front)
+        return clone
+
     def resolve(self, node: DAGNode) -> List[DAGNode]:
         """Retire an executed front node, reclaim its state, and refill the window.
 
         Before the node is retired, the source is pulled (up to ``max_live_gates``)
         until the node is no longer the live tail of any of its wires.  This keeps
-        retirement order-faithful to the full DAG: the node's wire successors get
-        admitted — and therefore unlocked *by this resolve*, in sorted-successor
-        order — rather than joining the front later at admission time, which would
-        reorder the front layer and change scoring ties downstream.
+        retirement order-faithful to the whole-circuit walk: the node's wire successors
+        get admitted — and therefore unlocked *by this resolve*, in admission order —
+        rather than joining the front later at admission time, which would reorder the
+        front layer and change scoring ties downstream.
         """
         if node not in self._front:
             raise CircuitError(f"node {node.node_id} is not currently executable")
-        wires = list(DAGCircuit._node_wires(node))
-        while (
-            not self._source_done
-            and len(self.nodes) < self.max_live_gates
-            and any(self._wire_tail.get(wire) == node.node_id for wire in wires)
-        ):
-            self._fill_to(min(self.max_live_gates, len(self.nodes) + self.window_gates))
+        nid = node.node_id
+        if not self._source_done:
+            wires = self._wire_keys(node)
+            while (
+                not self._source_done
+                and len(self.nodes) < self.max_live_gates
+                and any(self._wire_tail.get(wire) == nid for wire in wires)
+            ):
+                self._fill_to(min(self.max_live_gates, len(self.nodes) + self.window_gates))
         self._front.remove(node)
         self._version += 1
-        nid = node.node_id
         succs = self._successors.pop(nid)
         del self.nodes[nid]
         del self._remaining_pred[nid]
         self.retired += 1
         newly: List[DAGNode] = []
+        remaining = self._remaining_pred
         for sid in succs:
-            self._remaining_pred[sid] -= 1
-            if self._remaining_pred[sid] == 0:
+            remaining[sid] -= 1
+            if remaining[sid] == 0:
                 succ = self.nodes[sid]
                 self._front.append(succ)
                 newly.append(succ)
-        self._fill()
+        if not self._source_done:
+            self._fill()
         return newly
 
     def lookahead(self, size: int, *, two_qubit_only: bool = True) -> List[DAGNode]:
-        """Extended layer over the live window (same BFS as :class:`ExecutionFrontier`).
+        """The "extended layer": up to ``size`` closest successors of the front layer.
 
-        A full-DAG BFS can reach gates *beyond* the admitted window in fewer hops than
-        many admitted gates, so matching it takes more than having ``size`` results: the
-        BFS is only complete if it never traversed a node whose successor list may still
-        grow — a live *wire tail*, whose next wire neighbour has not been admitted yet.
-        Whenever the BFS touches such a node (and the source has more gates), more gates
-        are admitted (up to ``max_live_gates``) and the BFS restarts.  Within the spill
-        allowance the result is therefore identical to the whole-circuit extended layer.
+        Traversal is breadth-first from the current front layer through unresolved
+        nodes.  A whole-circuit BFS can reach gates *beyond* the admitted window in
+        fewer hops than many admitted gates, so matching it takes more than having
+        ``size`` results: the BFS is only complete if it never traversed a node whose
+        successor list may still grow — a live *wire tail*, whose next wire neighbour
+        has not been admitted yet.  Whenever the BFS touches such a node (and the source
+        has more gates), more gates are admitted (up to ``max_live_gates``) and the BFS
+        restarts.  Within the spill allowance the result is therefore identical to the
+        whole-circuit extended layer.
         """
+        nodes = self.nodes
+        successors = self._successors
         while True:
             if self._source_done:
                 tails: Set[int] = set()
             else:
-                tails = {tid for tid in self._wire_tail.values() if tid in self.nodes}
+                tails = {tid for tid in self._wire_tail.values() if tid in nodes}
             incomplete = False
             result: List[DAGNode] = []
             visited: Set[int] = {n.node_id for n in self._front}
@@ -678,23 +632,23 @@ class StreamingDAG:
             for node in self._front:
                 if node.node_id in tails:
                     incomplete = True
-                queue.extend(self._successors[node.node_id])
+                queue.extend(successors[node.node_id])
             idx = 0
             while idx < len(queue) and len(result) < size:
                 nid = queue[idx]
                 idx += 1
-                if nid in visited or nid not in self.nodes:
+                if nid in visited or nid not in nodes:
                     continue
                 visited.add(nid)
                 if nid in tails:
                     incomplete = True
-                node = self.nodes[nid]
+                node = nodes[nid]
                 if not two_qubit_only or node.is_two_qubit():
                     result.append(node)
-                queue.extend(self._successors[nid])
-            if not incomplete or len(self.nodes) >= self.max_live_gates:
+                queue.extend(successors[nid])
+            if not incomplete or len(nodes) >= self.max_live_gates:
                 return result
-            self._fill_to(min(self.max_live_gates, len(self.nodes) + self.window_gates))
+            self._fill_to(min(self.max_live_gates, len(nodes) + self.window_gates))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -12,9 +12,9 @@ CNOTs the SWAP would normally cost can be recovered by the subsequent optimizati
 
 The estimators inspect the *already routed* part of the circuit (the resolved layer), which
 is exactly the information the compiler has at SWAP-insertion time.  ``out`` is anything
-exposing a positional ``data`` list of instructions — the router's live
-:class:`~repro.transpiler.passes.sabre.RoutedOutput` during routing, or a plain
-:class:`~repro.circuit.circuit.QuantumCircuit` in tests.
+whose ``data`` can be indexed by output position — the router's live
+:class:`~repro.transpiler.passes.sabre.StreamingOutput` (a position-keyed dict) during
+routing, or a plain :class:`~repro.circuit.circuit.QuantumCircuit` in tests.
 """
 
 from __future__ import annotations

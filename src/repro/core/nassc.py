@@ -15,12 +15,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..circuit.dag import DAGCircuit, DAGNode
+from ..circuit.dag import DAGNode
 from ..hardware.coupling import CouplingMap
 from ..obs.counters import COUNTERS
-from ..transpiler.passes.layout import Layout
-from ..transpiler.passes.sabre import SabreSwapRouter
-from ..transpiler.passmanager import PropertySet, TransformationPass
+from ..transpiler.passes.sabre import SabreRouting, SabreSwapRouter
 from .estimators import OptimizationEstimator, SwapEstimate
 
 
@@ -76,20 +74,14 @@ class NASSCSwapRouter(SabreSwapRouter):
         self._estimator = OptimizationEstimator()
         self._estimates: Dict[Tuple[int, int], SwapEstimate] = {}
         self._estimate_memo: Dict[Tuple[int, int], Tuple[int, int, SwapEstimate]] = {}
-        self._out_circuit = None
 
     # ------------------------------------------------------------------
 
     def _reset_routing_memos(self) -> None:
-        # Called by the base class at the top of every routing run (in-memory and
-        # streaming alike), so stale estimates never leak across runs.
+        # Called by the base class at the top of every routing run, so stale estimates
+        # never leak across runs.
         self._estimates = {}
         self._estimate_memo = {}
-
-    def _execute_ready_gates(self, frontier, layout, out):
-        # Keep a handle on the routed output so the estimators can inspect the resolved layer.
-        self._out_circuit = out
-        return super()._execute_ready_gates(frontier, layout, out)
 
     # ------------------------------------------------------------------
     # Optimization-aware cost function (Eq. 2)
@@ -115,8 +107,10 @@ class NASSCSwapRouter(SabreSwapRouter):
             COUNTERS.inc("routing.nassc.estimate_memo_hits")
         else:
             COUNTERS.inc("routing.nassc.estimates")
+            # ``self._out`` is the run's output sink: the estimators scan the resolved
+            # layer through its position-keyed ``data``.
             estimate = self._estimator.estimate(
-                self._out_circuit,
+                self._out,
                 self._wire_history,
                 swap[0],
                 swap[1],
@@ -178,8 +172,7 @@ class NASSCSwapRouter(SabreSwapRouter):
     # Optimization-aware SWAP decomposition (Sec. IV-E)
     # ------------------------------------------------------------------
 
-    def _swap_label(self, swap, front_gates, layout, out) -> Optional[str]:
-        self._out_circuit = out
+    def _swap_label(self, swap) -> Optional[str]:
         estimate = self._estimates.get(swap)
         if estimate is None:
             estimate = self._estimate_for(swap)
@@ -188,34 +181,15 @@ class NASSCSwapRouter(SabreSwapRouter):
         return None
 
 
-class NASSCRouting(TransformationPass):
+class NASSCRouting(SabreRouting):
     """Transpiler pass wrapper around :class:`NASSCSwapRouter`."""
 
     def __init__(
-        self,
-        coupling_map: CouplingMap,
-        *,
-        config: Optional[NASSCConfig] = None,
-        extended_set_size: int = 20,
-        extended_set_weight: float = 0.5,
-        seed: Optional[int] = None,
-        distance_matrix: Optional[np.ndarray] = None,
+        self, coupling_map: CouplingMap, *, config: Optional[NASSCConfig] = None, **kwargs
     ) -> None:
-        super().__init__()
-        self.coupling_map = coupling_map
-        self.router = NASSCSwapRouter(
+        super().__init__(
             coupling_map,
-            config=config,
-            extended_set_size=extended_set_size,
-            extended_set_weight=extended_set_weight,
-            seed=seed,
-            distance_matrix=distance_matrix,
+            router_cls=NASSCSwapRouter,
+            router_kwargs={"config": config},
+            **kwargs,
         )
-
-    def run(self, dag: DAGCircuit, property_set: PropertySet) -> DAGCircuit:
-        layout = property_set.get("layout") or Layout.trivial(dag.num_qubits)
-        result = self.router.route(dag, layout)
-        property_set["final_layout"] = result.final_layout
-        property_set["initial_layout"] = result.initial_layout
-        property_set["num_swaps"] = result.num_swaps
-        return result.dag

@@ -8,11 +8,12 @@ iterable), decomposed gate by gate, routed over a bounded
 chunks the moment they are placed — the full circuit, its DAG, and the routed result are
 never materialised at once.
 
-The routing loop, scoring kernels, and rng discipline are literally shared with the
-in-memory path (:meth:`SabreSwapRouter.route_stream_steps` drives the same
-``_route_loop`` as :meth:`~SabreSwapRouter.route_steps`), so a window that covers the
-whole circuit produces output byte-identical to ``qasm.dumps(transpile(...).circuit)``
-at the equivalent configuration (level ``O0``, ``layout_iterations=0``).
+The routing loop is the in-memory path's own
+(:meth:`~repro.transpiler.passes.sabre.SabreSwapRouter.route_steps` over a
+:class:`~repro.circuit.dag.StreamingDAG`; in-memory routing merely admits the whole
+circuit at once), so a window that covers the whole circuit produces output
+byte-identical to ``qasm.dumps(transpile(...).circuit)`` at the equivalent configuration
+(level ``O0``, ``layout_iterations=0``).
 
 Streaming constraints (checked up front, with guidance in the error):
 
@@ -38,8 +39,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
-import numpy as np
-
 from ..circuit.circuit import Instruction, QuantumCircuit
 from ..circuit.dag import StreamingDAG
 from ..circuit.qasm import QASMStreamReader, header_lines, instruction_line
@@ -47,10 +46,10 @@ from ..exceptions import TranspilerError
 from ..hardware.coupling import CouplingMap
 from ..hardware.target import Target
 from ..obs.counters import COUNTERS
+from ..transpiler.builder import PipelineBuilder
 from ..transpiler.passes.basis import _DIRECTIVES, _ROUTABLE_1Q, _ROUTABLE_2Q, Decompose
 from ..transpiler.passes.layout import Layout
 from ..transpiler.passes.swap_lowering import lower_swap, swap_orientation
-from ..transpiler.registry import get_routing
 from .nassc import NASSCConfig
 from .options import TranspileOptions
 from .pipeline import _resolve_options, _resolve_target
@@ -230,26 +229,10 @@ def transpile_stream(
         },
     )
 
-    method = get_routing(resolved.routing)
-    if method.requires_coupling and not resolved_target.has_coupling:
-        raise TranspilerError(
-            f"routing method {method.name!r} requires a target with a coupling map"
-        )
-    if resolved.noise_aware and not resolved_target.has_calibration:
-        raise TranspilerError("noise_aware routing requires a target with calibration data")
-    if resolved.route_cost == "ns" and not resolved_target.has_calibration:
-        raise TranspilerError(
-            "route_cost='ns' requires a target with calibration data "
-            "(gate durations set the SWAP costs)"
-        )
-
-    distance_matrix: Optional[np.ndarray] = None
-    if resolved.route_cost == "ns":
-        distance_matrix = resolved_target.duration_distance_matrix()
-    elif resolved.noise_aware and resolved_target.has_calibration:
-        distance_matrix = resolved_target.noise_distance_matrix()
-
-    plan = method.factory(resolved_target, resolved, distance_matrix=distance_matrix)
+    # The builder checks the target against the options and resolves the routing plan
+    # and distance matrix exactly as transpile() does.
+    builder = PipelineBuilder(resolved_target, resolved)
+    plan = builder.plan
     _validate_stream_options(resolved, plan)
 
     coupling = resolved_target.coupling_map
@@ -262,7 +245,7 @@ def transpile_stream(
     router = plan.routing_router_cls(
         coupling,
         seed=resolved.seed,
-        distance_matrix=distance_matrix,
+        distance_matrix=builder.distance_matrix,
         **plan.routing_router_kwargs,
     )
     # Same seed layout SabreLayoutSelection starts from; with layout_iterations=0 the
@@ -302,7 +285,7 @@ def transpile_stream(
         else:
             emit_op(op.name, op)
 
-    steps = router.route_stream_steps(frontier, layout, emit=emit)
+    steps = router.route_steps(frontier, layout, emit=emit)
     reply = None
     result = None
     while True:

@@ -118,7 +118,13 @@ def weyl_coordinates(unitary: np.ndarray) -> Tuple[float, float, float]:
     su4, _ = _det_normalize(unitary)
     up = _BD @ su4 @ _B
     m2 = up.T @ up
-    eigvals = np.linalg.eigvals(m2)
+    try:
+        eigvals = np.linalg.eigvals(m2)
+    except np.linalg.LinAlgError:
+        # LAPACK's general eigensolver can fail to converge when M2 carries tiny
+        # (~1e-34) off-diagonal residue; M2 is complex symmetric and unitary, so the
+        # real-orthogonal diagonalisation yields the same spectrum.
+        eigvals = _orthogonal_diagonalize(m2)[1]
     d = np.angle(eigvals) / 2.0
     total = float(np.sum(d))
     d[0] -= math.pi * round(total / math.pi)

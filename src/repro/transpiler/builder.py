@@ -152,6 +152,11 @@ class PipelineBuilder:
             distance_matrix = target.noise_distance_matrix()
 
         plan = method.factory(target, options, distance_matrix=distance_matrix)
+        #: The routing method's plan (``None`` for ``routing="none"``) and the distance
+        #: matrix its routers score against (``None`` = the coupling map's hop count);
+        #: :func:`repro.core.stream.transpile_stream` builds its router from these.
+        self.plan: Optional[RoutingPlan] = plan
+        self.distance_matrix = distance_matrix
         self.ensemble_trials = (
             options.effective_best_of
             if (
@@ -162,7 +167,6 @@ class PipelineBuilder:
             )
             else 1
         )
-        self._distance_matrix = distance_matrix
         level = options.level
         optimize = level != "O0"
         final_basis = target.final_basis
@@ -237,7 +241,7 @@ class PipelineBuilder:
                     layout_router_cls=plan.layout_router_cls or SabreSwapRouter,
                     router_kwargs=routing_kwargs,
                     layout_router_kwargs=layout_kwargs,
-                    distance_matrix=self._distance_matrix,
+                    distance_matrix=self.distance_matrix,
                     noise_aware=self.noise_aware and self.target.has_calibration,
                     trial_subset=self.trial_subset,
                 ),

@@ -11,13 +11,13 @@ The amortization trick is in the lockstep drive: every trial is a suspended
 :meth:`~repro.transpiler.passes.sabre.SabreSwapRouter.route_steps` generator that
 yields a :class:`~repro.transpiler.passes.sabre.ScoreRequest` at each heuristic
 scoring point.  Each round, the requests of all live trials are stacked into ONE
-batched call of the shared scoring kernel (:func:`repro.nativeext.front_ext_sums`) —
-index tables are zero-padded to a common width, which is bit-exact because the
-distance matrix diagonal is ``0.0`` and the kernel accumulates non-negative terms in
-ascending column order — then each trial's slice is finalized with that trial's own
-decay/estimator state.  Scores are therefore bit-identical to running the trial
-alone, which makes the winner reproducible across in-process and fanned-out
-execution (see ``trial_subset``).
+batched call of the shared scoring kernel
+(:func:`repro.transpiler.passes.sabre.front_ext_sums`) — index tables are zero-padded
+to a common width, which is bit-exact because the distance matrix diagonal is ``0.0``
+and the kernel accumulates non-negative terms in ascending column order — then each
+trial's slice is finalized with that trial's own decay/estimator state.  Scores are
+therefore bit-identical to running the trial alone, which makes the winner
+reproducible across in-process and fanned-out execution (see ``trial_subset``).
 
 Trials that fall hopelessly behind are pruned losslessly: once some trial has
 finished with ``S`` swaps, any live trial that has already inserted more than ``S``
@@ -28,25 +28,26 @@ lets the server fan chunks across its process pool and reduce by the same key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import TranspilerError
 from ..hardware.coupling import CouplingMap
-from ..nativeext import front_ext_sums
 from ..obs.counters import COUNTERS
 from ..obs.tracer import current_tracer
 from .passmanager import PropertySet, TransformationPass
 from .passes.layout import Layout
 from .passes.sabre import (
-    _VECTOR_SAFE_SCORE_SWAPS,
     RoutingResult,
     SabreSwapRouter,
     ScoreRequest,
+    dag_emitter,
+    front_ext_sums,
     layout_selection_steps,
-    prepare_layout_dags,
+    layout_traversals,
+    whole_frontier,
 )
 
 
@@ -145,24 +146,6 @@ def _trial_metrics(
     return two_qubit + 3 * swaps, result.circuit.depth(), noise_cost
 
 
-def _batchable(request: ScoreRequest, shared_distance: np.ndarray) -> bool:
-    """Whether a request may join the stacked kernel call bit-safely.
-
-    Requires the stock index/kernel/scoring pipeline (subclasses may override
-    ``_finalize_scores`` freely — NASSC does — but not the kernel-facing steps) and
-    the shared distance matrix, so one gather serves every row.
-    """
-    cls = type(request.router)
-    return (
-        cls._score_candidates is SabreSwapRouter._score_candidates
-        and cls._front_ext_sums is SabreSwapRouter._front_ext_sums
-        and cls._mapped_index_arrays is SabreSwapRouter._mapped_index_arrays
-        and cls._compute_scores is SabreSwapRouter._compute_scores
-        and cls._score_swap in _VECTOR_SAFE_SCORE_SWAPS
-        and request.router.distance is shared_distance
-    )
-
-
 def _stacked_sums(
     distance: np.ndarray,
     tables: List[Tuple[np.ndarray, np.ndarray]],
@@ -198,27 +181,18 @@ def _evaluate_batch(
 ) -> None:
     """Answer every live trial's pending request, batching the kernel work.
 
-    Batch-safe requests contribute their front (and extended) index tables to one
-    stacked kernel call each; the per-trial finalization (decay, NASSC estimates)
-    then runs on each trial's slice.  Non-batchable requests fall back to solo
-    evaluation.  Either way ``trial.reply`` ends up bit-identical to
-    ``request.evaluate()``.
+    Every trial router aliases the one shared distance matrix, so each request
+    contributes its front (and extended) index tables to one stacked kernel call each;
+    the per-trial finalization (decay, NASSC estimates) then runs on each trial's
+    slice.  ``trial.reply`` ends up bit-identical to ``request.evaluate()``.
     """
-    batch = []
-    for trial, request in pairs:
-        if _batchable(request, distance):
-            batch.append((trial, request))
-        else:
-            trial.reply = request.evaluate()
-    if not batch:
-        return
     COUNTERS.inc("routing.ensemble.batched_steps")
-    COUNTERS.inc("routing.ensemble.batched_requests", len(batch))
+    COUNTERS.inc("routing.ensemble.batched_requests", len(pairs))
     front_tables = []
     ext_tables = []
     ext_slots = []
     candidate_arrays = []
-    for trial, request in batch:
+    for trial, request in pairs:
         c0, c1 = request.router._candidate_arrays(request.candidates)
         candidate_arrays.append((c0, c1))
         fa, fb = request.router._mapped_index_arrays(
@@ -235,7 +209,7 @@ def _evaluate_batch(
             ext_slots.append(None)
     front_sums = _stacked_sums(distance, front_tables)
     ext_sums = _stacked_sums(distance, ext_tables) if ext_tables else []
-    for position, (trial, request) in enumerate(batch):
+    for position, (trial, request) in enumerate(pairs):
         c0, c1 = candidate_arrays[position]
         front_raw = front_sums[position]
         slot = ext_slots[position]
@@ -330,17 +304,19 @@ class EnsembleRouting(TransformationPass):
             outcome=TrialOutcome(index, layout_seed, routing_seed),
         )
 
-    def _trial_steps(self, trial: _Trial, dag, traversal_dags):
+    def _trial_steps(self, trial: _Trial, dag, frontier, traversals):
         """Full trial flow as one generator: random layout, refinement, routing."""
         layout = Layout.random(
             dag.num_qubits, self.coupling_map.num_qubits, seed=trial.layout_seed
         )
-        if traversal_dags is not None:
+        if traversals is not None:
             layout = yield from layout_selection_steps(
-                trial.layout_router, layout, self.layout_iterations, *traversal_dags
+                trial.layout_router, layout, self.layout_iterations, traversals
             )
         trial.routing_phase = True
-        result = yield from trial.router.route_steps(dag, layout)
+        routed, emit = dag_emitter(dag, self.coupling_map.num_qubits)
+        result = yield from trial.router.route_steps(frontier.copy(), layout, emit=emit)
+        result.dag = routed
         return result
 
     def run(self, dag, property_set: PropertySet):
@@ -354,11 +330,13 @@ class EnsembleRouting(TransformationPass):
         parent_id = None
         if tracer is not None and tracer._stack:
             parent_id = tracer._stack[-1].span_id
-        traversal_dags = prepare_layout_dags(dag)
+        # Admitted once; every trial walks its own copy.
+        frontier = whole_frontier(dag.op_nodes(), dag.num_qubits, dag.num_clbits)
+        traversals = layout_traversals(dag) if self.layout_iterations > 0 else None
         trials = []
         for index in indices:
             trial = self._make_trial(index, *seeds[index])
-            trial.steps = self._trial_steps(trial, dag, traversal_dags)
+            trial.steps = self._trial_steps(trial, dag, frontier, traversals)
             if tracer is not None:
                 trial.span = tracer.make_span(
                     f"routing.trial{index}",

@@ -11,7 +11,7 @@ from .commutation import (
 )
 from .layout import ApplyLayout, Layout, SetLayout, TrivialLayout
 from .optimize_1q import Optimize1qGates, RemoveIdentities
-from .sabre import RoutedOutput, RoutingResult, SabreLayoutSelection, SabreRouting, SabreSwapRouter
+from .sabre import RoutingResult, SabreLayoutSelection, SabreRouting, SabreSwapRouter
 from .swap_lowering import SwapLowering, lower_swap, swap_orientation
 from .unitary_synthesis import UnitarySynthesis, block_cx_weight, block_matrix
 
@@ -32,7 +32,6 @@ __all__ = [
     "TrivialLayout",
     "Optimize1qGates",
     "RemoveIdentities",
-    "RoutedOutput",
     "RoutingResult",
     "SabreLayoutSelection",
     "SabreRouting",

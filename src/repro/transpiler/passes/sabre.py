@@ -1,31 +1,37 @@
 """SABRE qubit routing (Li, Ding, Xie - ASPLOS 2019), the paper's baseline.
 
-The router processes the logical circuit's DAG layer by layer (resolved / front / extended
-layers, paper Fig. 6), inserting SWAPs chosen by a lookahead heuristic cost function over the
-device distance matrix.  :class:`SabreSwapRouter` is also the base class for the NASSC router
-in :mod:`repro.core.nassc`, which only overrides the cost function and the SWAP labelling.
+The router walks the logical circuit's dependency frontier layer by layer (resolved /
+front / extended layers, paper Fig. 6), inserting SWAPs chosen by a lookahead heuristic
+cost function over the device distance matrix.  :class:`SabreSwapRouter` is also the base
+class for the NASSC router in :mod:`repro.core.nassc`, which only overrides the cost
+function and the SWAP labelling.
 
-Routing is DAG-in/DAG-out: :meth:`SabreSwapRouter.route` consumes the pipeline's canonical
-:class:`DAGCircuit` directly (a plain :class:`QuantumCircuit` is still accepted and converted
-for standalone use) and emits the routed result into a fresh DAG through
-:class:`RoutedOutput`, which also maintains the positional instruction view and per-wire
-history the NASSC estimators inspect.
+There is one routing loop, :meth:`SabreSwapRouter.route_steps`, over one frontier type
+(:class:`~repro.circuit.dag.StreamingDAG`) and one output sink (:class:`StreamingOutput`).
+Callers differ only in the frontier's window and in what the ``emit`` callback does with
+each routed operation:
+
+* :meth:`SabreSwapRouter.route` and ensemble trials admit the whole circuit at once and
+  emit into the output :class:`DAGCircuit`;
+* layout-refinement sweeps admit the whole circuit and emit nothing (only the final
+  layout is used);
+* :func:`repro.core.stream.transpile_stream` admits a bounded window and emits routed
+  OpenQASM text.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...circuit.circuit import QuantumCircuit
-from ...circuit.dag import DAGCircuit, DAGNode, ExecutionFrontier
+from ...circuit.dag import DAGCircuit, DAGNode, StreamingDAG
 from ...circuit.gates import Gate, gate as make_gate
 from ...exceptions import TranspilerError
 from ...hardware.coupling import CouplingMap
-from ...nativeext import front_ext_sums
 from ...obs.counters import COUNTERS
 from ..passmanager import AnalysisPass, PropertySet, TransformationPass
 from .layout import Layout
@@ -40,32 +46,33 @@ from .layout import Layout
 WIRE_HISTORY_BOUND = 24
 
 
-class RoutedOutput:
-    """Append-only routed circuit under construction.
+def front_ext_sums(
+    distance: np.ndarray, mapped_a: np.ndarray, mapped_b: np.ndarray, front_cols: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row (front, extended) distance sums — THE router scoring kernel.
 
-    Keeps two synchronized views the router and the NASSC estimators need: the output
-    :class:`DAGCircuit` (node id == append position) and the positional operation list
-    ``data`` (what the estimators' backward scans index; entries are the DAG's own
-    :class:`DAGNode` records, which expose the same ``gate``/``name``/``qubits`` shape
-    as :class:`~repro.circuit.circuit.Instruction`).  Per-wire history is tracked by the
-    router itself.
+    ``mapped_a``/``mapped_b`` are (rows x cols) integer tables of physical qubit
+    indices; column ``c < front_cols`` belongs to the front window, the rest to the
+    extended window.  One fancy-indexed gather, then sequential (not pairwise) column
+    sums: that keeps the float64 result bit-identical to a per-gate scalar loop even for
+    non-integer (noise-aware) distance matrices, where pairwise summation could differ
+    in the last ulp and flip a 1e-12 tie-break.
     """
-
-    def __init__(self, num_qubits: int, num_clbits: int, name: str, metadata: Dict) -> None:
-        self.dag = DAGCircuit(num_qubits, num_clbits, name)
-        self.dag.metadata = dict(metadata)
-        self.data: List[DAGNode] = []
-
-    def append(self, gate: Gate, qubits: Sequence[int], clbits: Sequence[int] = ()) -> None:
-        self.data.append(self.dag.add_node(gate, qubits, clbits))
-
-    def __len__(self) -> int:
-        return len(self.data)
+    table = distance[mapped_a, mapped_b]
+    rows, cols = table.shape
+    front = np.zeros(rows)
+    for column in range(front_cols):
+        front += table[:, column]
+    ext = np.zeros(rows)
+    for column in range(front_cols, cols):
+        ext += table[:, column]
+    return front, ext
 
 
 class _LiteOp:
-    """Minimal instruction record with the ``gate``/``name``/``qubits`` shape the
-    NASSC estimators read."""
+    """Routed-operation record with the ``gate``/``name``/``qubits``/``clbits`` shape of
+    an :class:`~repro.circuit.circuit.Instruction` (what ``emit`` and the NASSC
+    estimators read)."""
 
     __slots__ = ("gate", "qubits", "clbits")
 
@@ -79,81 +86,40 @@ class _LiteOp:
         return self.gate.name
 
 
-class DiscardOutput:
-    """Routed-output stand-in for runs whose emitted circuit is thrown away.
-
-    The SABRE layout-refinement sweeps route the whole circuit ``2 * iterations``
-    times but consume only the final layout, so building the output DAG (node and
-    edge bookkeeping per emitted gate) is pure overhead there.  This keeps just the
-    positional ``data`` list the NASSC estimators' backward scans index — the same
-    gate objects and qubit tuples :class:`RoutedOutput` would record, so scoring
-    (and hence every routing decision) is bit-identical between the two outputs.
-    """
-
-    __slots__ = ("data",)
-
-    #: No DAG is built; the resulting :class:`RoutingResult` carries ``dag=None``.
-    dag = None
-
-    def __init__(self) -> None:
-        self.data: List[_LiteOp] = []
-
-    def append(self, gate: Gate, qubits: Sequence[int], clbits: Sequence[int] = ()) -> None:
-        self.data.append(_LiteOp(gate, tuple(qubits), tuple(clbits)))
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-
-class _PositionalView:
-    """Dict-backed stand-in for the positional ``out.data`` list.
-
-    The NASSC estimators index ``out.data[position]`` only at positions recorded in the
-    router's bounded wire histories, so a sparse mapping over the retained tail behaves
-    exactly like the full list at a fraction of the memory.
-    """
-
-    __slots__ = ("store",)
-
-    def __init__(self, store: Dict[int, _LiteOp]) -> None:
-        self.store = store
-
-    def __getitem__(self, position: int) -> _LiteOp:
-        return self.store[position]
-
-
 class StreamingOutput:
-    """Routed-output sink for streaming runs: emit each op, retain only the scan tail.
+    """The routed-output sink: hand each op to ``emit``, retain only the scan tail.
 
-    Every appended operation is handed to ``emit(position, op)`` immediately and stored
-    in a position-keyed dict.  Periodically (every ``_SCAN_INTERVAL`` appends) positions
-    no longer referenced by any wire-history deque are dropped — those are exactly the
-    positions the NASSC estimators can still inspect, so scoring stays bit-identical to
-    :class:`RoutedOutput` while the retained set stays bounded by
-    ``num_wires * WIRE_HISTORY_BOUND + _SCAN_INTERVAL`` entries regardless of circuit
-    length.  No output DAG is built (``dag = None``).
+    Every appended operation is passed to ``emit(position, op)`` (when given) and stored
+    in ``data``, a position-keyed dict — what the NASSC estimators' backward scans
+    index.  Every ``_TRIM_INTERVAL`` appends, positions no longer referenced by any
+    wire-history deque are dropped.  The estimators only look up positions recorded in
+    those deques, so scoring is identical to keeping every op, while the retained set
+    stays bounded by ``num_wires * WIRE_HISTORY_BOUND + _TRIM_INTERVAL`` entries
+    regardless of circuit length.
     """
 
-    __slots__ = ("data", "_wire_history", "_emit", "_store", "_count")
+    __slots__ = ("data", "_wire_history", "_emit", "_count")
 
-    dag = None
+    _TRIM_INTERVAL = 256
 
-    _SCAN_INTERVAL = 256
-
-    def __init__(self, wire_history: Dict[int, Deque[int]], emit) -> None:
+    def __init__(
+        self,
+        wire_history: Dict[int, Deque[int]],
+        emit: Optional[Callable[[int, _LiteOp], None]] = None,
+    ) -> None:
         self._wire_history = wire_history
         self._emit = emit
-        self._store: Dict[int, _LiteOp] = {}
+        self.data: Dict[int, _LiteOp] = {}
         self._count = 0
-        self.data = _PositionalView(self._store)
 
-    def append(self, gate: Gate, qubits: Sequence[int], clbits: Sequence[int] = ()) -> None:
-        op = _LiteOp(gate, tuple(qubits), tuple(clbits))
+    def append(self, gate: Gate, qubits: Tuple[int, ...], clbits: Tuple[int, ...] = ()) -> None:
+        op = _LiteOp(gate, qubits, clbits)
         position = self._count
-        self._store[position] = op
-        self._count += 1
-        self._emit(position, op)
-        if self._count % self._SCAN_INTERVAL == 0:
+        self.data[position] = op
+        self._count = position + 1
+        if self._emit is not None:
+            self._emit(position, op)
+        if self._count % self._TRIM_INTERVAL == 0:
             self._trim()
 
     def _trim(self) -> None:
@@ -161,20 +127,49 @@ class StreamingOutput:
         # *after* append() returns, so the newest position is kept unconditionally.
         live = {pos for history in self._wire_history.values() for pos in history}
         newest = self._count - 1
-        self._store = {
-            pos: op for pos, op in self._store.items() if pos in live or pos >= newest
+        self.data = {
+            pos: op for pos, op in self.data.items() if pos in live or pos >= newest
         }
-        self.data.store = self._store
 
     def __len__(self) -> int:
         return self._count
 
 
+def whole_frontier(
+    instructions: Sequence, num_qubits: int, num_clbits: int = 0
+) -> StreamingDAG:
+    """The frontier in-memory routing walks: every instruction admitted up front.
+
+    Node ids follow list order; for a DAG's ``op_nodes()`` (insertion order) the walk
+    therefore visits successors in the DAG's own dependency order, step for step.
+    """
+    for inst in instructions:
+        if len(inst.qubits) > 2 and inst.name != "barrier":
+            raise TranspilerError(
+                f"cannot route gate '{inst.name}' on {len(inst.qubits)} qubits; decompose first"
+            )
+    return StreamingDAG(
+        instructions, num_qubits, num_clbits, window_gates=len(instructions) + 1
+    )
+
+
+def dag_emitter(dag: DAGCircuit, num_qubits: int) -> Tuple[DAGCircuit, Callable]:
+    """Empty routed-output DAG for ``dag`` on ``num_qubits`` device wires, and the
+    ``emit`` callback that appends each routed operation to it."""
+    routed = DAGCircuit(num_qubits, dag.num_clbits, dag.name)
+    routed.metadata = dict(dag.metadata)
+
+    def emit(position: int, op: _LiteOp) -> None:
+        routed.add_node(op.gate, op.qubits, op.clbits)
+
+    return routed, emit
+
+
 @dataclass
 class RoutingResult:
-    """Output of one routing run."""
+    """Output of one routing run (``dag`` is ``None`` when nothing was collected)."""
 
-    dag: DAGCircuit
+    dag: Optional[DAGCircuit]
     initial_layout: Layout
     final_layout: Layout
     num_swaps: int
@@ -208,18 +203,13 @@ class ScoreRequest:
 
     def evaluate(self) -> np.ndarray:
         """Score this request in isolation (the single-trial path)."""
-        return self.router._compute_scores(
+        return self.router._score_candidates(
             self.candidates, self.front_gates, self.extended, self.layout
         )
 
 
 def drive_steps(steps):
-    """Run a routing-step generator to completion, answering each request in place.
-
-    This is the trampoline behind :meth:`SabreSwapRouter.route` and the solo layout
-    traversals: it produces output bit-identical to the historical inline loop, because
-    :meth:`ScoreRequest.evaluate` performs exactly the computation the loop used to.
-    """
+    """Run a routing-step generator to completion, answering each request in place."""
     reply = None
     while True:
         try:
@@ -229,38 +219,37 @@ def drive_steps(steps):
         reply = request.evaluate()
 
 
-def prepare_layout_dags(dag: DAGCircuit):
-    """Forward/backward traversal DAGs for SABRE layout selection (or ``None``).
+def layout_traversals(dag: DAGCircuit):
+    """Forward/backward frontiers for SABRE layout selection (or ``None``).
 
-    Returns ``None`` when the circuit has no two-qubit interaction to refine on —
-    the random seed layout is then final.  Factored out so the ensemble engine can
-    build the (trial-independent) traversal DAGs once and share them across trials.
+    Each sweep walks a :meth:`~repro.circuit.dag.StreamingDAG.copy` of these, over the
+    circuit's unitary part.  Returns ``None`` when the circuit has no two-qubit
+    interaction to refine on — the random seed layout is then final.  The frontiers are
+    trial-independent, so the ensemble engine builds them once for all trials.
     """
-    circuit = dag.to_circuit()
-    unitary_only = circuit.without_directives()
-    if not unitary_only.two_qubit_pairs():
+    forward = [
+        node for node in dag.op_nodes() if node.gate.is_unitary and node.name != "barrier"
+    ]
+    if not any(len(node.qubits) == 2 for node in forward):
         return None
-    reversed_circuit = unitary_only.reverse_ops()
     return (
-        DAGCircuit.from_circuit(unitary_only),
-        DAGCircuit.from_circuit(reversed_circuit),
+        whole_frontier(forward, dag.num_qubits),
+        whole_frontier(forward[::-1], dag.num_qubits),
     )
 
 
-def layout_selection_steps(router, layout, iterations, forward_dag, backward_dag):
+def layout_selection_steps(router, layout, iterations, traversals):
     """Generator form of the SABRE reverse-traversal layout refinement.
 
-    Yields the underlying routers' :class:`ScoreRequest`\\ s; returns the refined
+    Yields the underlying router's :class:`ScoreRequest`\\ s; returns the refined
     :class:`Layout`.  ``drive_steps`` makes this the classic solo refinement; the
-    ensemble engine interleaves several of these (one per trial) in lockstep.
+    ensemble engine interleaves several of these (one per trial) in lockstep.  The
+    sweeps' routed operations are never emitted — only the layout they end in matters.
     """
     for _ in range(iterations):
-        # The sweeps' routed circuits are discarded — only the layout they end in
-        # matters — so skip the output-DAG bookkeeping entirely.
-        forward = yield from router.route_steps(forward_dag, layout, build_output=False)
-        layout = forward.final_layout
-        backward = yield from router.route_steps(backward_dag, layout, build_output=False)
-        layout = backward.final_layout
+        for frontier in traversals:
+            swept = yield from router.route_steps(frontier.copy(), layout)
+            layout = swept.final_layout
     return layout
 
 
@@ -305,76 +294,30 @@ class SabreSwapRouter:
 
     def route(self, circuit, initial_layout: Optional[Layout] = None) -> RoutingResult:
         """Route a logical circuit (``QuantumCircuit`` or ``DAGCircuit``) onto the device."""
-        return drive_steps(self.route_steps(circuit, initial_layout))
-
-    def route_steps(
-        self, circuit, initial_layout: Optional[Layout] = None, *, build_output: bool = True
-    ):
-        """Generator form of :meth:`route`: yields a :class:`ScoreRequest` at every
-        heuristic scoring point and expects the score array back via ``send()``.
-
-        Returns the :class:`RoutingResult` (as the generator's ``StopIteration`` value).
-        Driving it with :func:`drive_steps` is bit-identical to the historical inline
-        loop; the ensemble engine drives many of these concurrently, batching the
-        per-step score evaluations of all live trials into one kernel call.
-
-        ``build_output=False`` records the emitted operations without constructing the
-        output DAG (``result.dag`` is then ``None``) — for layout-refinement sweeps
-        that only consume ``result.final_layout``.  Every routing decision is
-        bit-identical either way.
-        """
         dag = circuit if isinstance(circuit, DAGCircuit) else DAGCircuit.from_circuit(circuit)
-        if dag.num_qubits > self.coupling_map.num_qubits:
-            raise TranspilerError(
-                f"circuit needs {dag.num_qubits} qubits but the device has "
-                f"{self.coupling_map.num_qubits}"
-            )
-        for node in dag.op_nodes():
-            if len(node.qubits) > 2 and node.name != "barrier":
-                raise TranspilerError(
-                    f"cannot route gate '{node.name}' on {len(node.qubits)} qubits; decompose first"
-                )
-
-        rng = np.random.default_rng(self.seed)
-        layout = (initial_layout or Layout.trivial(dag.num_qubits)).copy()
-        initial = layout.copy()
-        frontier = ExecutionFrontier(dag)
-        if build_output:
-            out = RoutedOutput(
-                self.coupling_map.num_qubits, dag.num_clbits, dag.name, dag.metadata
-            )
-        else:
-            out = DiscardOutput()
-
-        self._reset_routing_memos()
-        self._wire_history: Dict[int, Deque[int]] = {
-            q: deque(maxlen=WIRE_HISTORY_BOUND) for q in range(self.coupling_map.num_qubits)
-        }
-        self._decay = np.ones(self.coupling_map.num_qubits)
-        result = yield from self._route_loop(frontier, layout, initial, out, rng)
+        routed, emit = dag_emitter(dag, self.coupling_map.num_qubits)
+        frontier = whole_frontier(dag.op_nodes(), dag.num_qubits, dag.num_clbits)
+        result = drive_steps(self.route_steps(frontier, initial_layout, emit=emit))
+        result.dag = routed
         return result
 
-    def route_stream(self, frontier, initial_layout: Optional[Layout] = None, *, emit):
-        """Route a windowed instruction stream; see :meth:`route_stream_steps`."""
-        return drive_steps(self.route_stream_steps(frontier, initial_layout, emit=emit))
-
-    def route_stream_steps(
-        self, frontier, initial_layout: Optional[Layout] = None, *, emit
+    def route_steps(
+        self,
+        frontier: StreamingDAG,
+        initial_layout: Optional[Layout] = None,
+        emit: Optional[Callable] = None,
     ):
-        """Generator form of streaming routing over a bounded frontier.
+        """The SABRE routing loop, as a generator over its scoring points.
 
-        ``frontier`` is any object with the :class:`~repro.circuit.dag.ExecutionFrontier`
-        protocol — in practice a :class:`~repro.circuit.dag.StreamingDAG`, which admits
-        gates from its source iterator as earlier ones retire, so the router only ever
-        sees the live window.  Every routed operation is pushed to ``emit(position, op)``
-        the moment it is placed (``op`` has the ``gate``/``name``/``qubits``/``clbits``
-        shape of an :class:`~repro.circuit.circuit.Instruction`); no output DAG or full
-        instruction list is retained, keeping peak memory O(window), not O(gates).
-
-        The loop, scoring kernels, rng discipline, and decay/stall state are literally
-        shared with :meth:`route_steps` (same :meth:`_route_loop`), so when the window
-        covers the whole circuit the emitted operation sequence is bit-identical to
-        in-memory routing.  Returns a :class:`RoutingResult` with ``dag=None``.
+        Walks ``frontier`` to exhaustion, handing every routed operation to
+        ``emit(position, op)`` the moment it is placed (``op`` has the
+        ``gate``/``name``/``qubits``/``clbits`` shape of an
+        :class:`~repro.circuit.circuit.Instruction`).  Yields a :class:`ScoreRequest` at
+        every heuristic scoring point and expects the score array back via ``send()``;
+        returns a :class:`RoutingResult` with ``dag=None`` as the generator's
+        ``StopIteration`` value.  :func:`drive_steps` answers each request in place; the
+        ensemble engine drives many of these concurrently, batching the per-step score
+        evaluations of all live trials into one kernel call.
         """
         if frontier.num_qubits > self.coupling_map.num_qubits:
             raise TranspilerError(
@@ -384,21 +327,13 @@ class SabreSwapRouter:
         rng = np.random.default_rng(self.seed)
         layout = (initial_layout or Layout.trivial(frontier.num_qubits)).copy()
         initial = layout.copy()
-
         self._reset_routing_memos()
-        self._wire_history = {
+        self._wire_history: Dict[int, Deque[int]] = {
             q: deque(maxlen=WIRE_HISTORY_BOUND) for q in range(self.coupling_map.num_qubits)
         }
-        out = StreamingOutput(self._wire_history, emit)
+        self._out = out = StreamingOutput(self._wire_history, emit)
         self._decay = np.ones(self.coupling_map.num_qubits)
-        result = yield from self._route_loop(frontier, layout, initial, out, rng)
-        return result
 
-    def _reset_routing_memos(self) -> None:
-        """Hook: clear per-run scoring caches before a routing loop starts (no-op here)."""
-
-    def _route_loop(self, frontier, layout: Layout, initial: Layout, out, rng):
-        """The shared SABRE routing loop (identical for in-memory and streaming runs)."""
         swap_labels: Dict[int, str] = {}
         num_swaps = 0
         #: Live progress gauge the ensemble driver reads to prune hopeless trials.
@@ -410,8 +345,7 @@ class SabreSwapRouter:
         cached_frontier_version = -1
 
         while not frontier.is_done():
-            executed_any = self._execute_ready_gates(frontier, layout, out)
-            if executed_any:
+            if self._execute_ready_gates(frontier, layout, out):
                 self._decay[:] = 1.0
                 stall_counter = 0
                 last_swap = None
@@ -436,18 +370,13 @@ class SabreSwapRouter:
                 candidates = self._swap_candidates(front_gates, layout)
                 if last_swap in candidates and len(candidates) > 1:
                     candidates = [c for c in candidates if c != last_swap]
-                if type(self)._select_swap is SabreSwapRouter._select_swap:
-                    # Split selection around a yield so an external driver may batch
-                    # the score evaluation across trials; the three sub-steps compose
-                    # to exactly the base ``_select_swap``.
-                    self._begin_scoring(candidates)
-                    scores = yield ScoreRequest(self, candidates, front_gates, extended, layout)
-                    swap = self._choose_swap(candidates, scores, rng)
-                else:
-                    # A subclass replaced selection wholesale: honour it inline.
-                    swap = self._select_swap(candidates, front_gates, extended, layout, rng)
+                # Suspend around the score evaluation so an external driver may batch
+                # it across trials.
+                self._begin_scoring(candidates)
+                scores = yield ScoreRequest(self, candidates, front_gates, extended, layout)
+                swap = self._choose_swap(candidates, scores, rng)
 
-            label = self._swap_label(swap, front_gates, layout, out)
+            label = self._swap_label(swap)
             position = len(out)
             # The bare swap flyweight is immutable; labelled swaps get a fresh instance.
             gate_obj = make_gate("swap") if label is None else Gate("swap", (), None, label)
@@ -465,25 +394,28 @@ class SabreSwapRouter:
 
         COUNTERS.inc("routing.swaps_inserted", num_swaps)
         return RoutingResult(
-            dag=out.dag,
+            dag=None,
             initial_layout=initial,
             final_layout=layout,
             num_swaps=num_swaps,
             swap_labels=swap_labels,
         )
 
+    def _reset_routing_memos(self) -> None:
+        """Hook: clear per-run scoring caches before a routing loop starts (no-op here)."""
+
     # ------------------------------------------------------------------
     # Gate execution
     # ------------------------------------------------------------------
 
     def _execute_ready_gates(
-        self, frontier: ExecutionFrontier, layout: Layout, out: RoutedOutput
+        self, frontier: StreamingDAG, layout: Layout, out: StreamingOutput
     ) -> bool:
         executed_any = False
         progress = True
         while progress:
             progress = False
-            for node in list(frontier.front):
+            for node in frontier.front:
                 if self._is_executable(node, layout):
                     self._emit(node, layout, out)
                     frontier.resolve(node)
@@ -498,7 +430,7 @@ class SabreSwapRouter:
         l2p = layout.physical_array()
         return bool(self._adj_matrix[l2p[a], l2p[b]])
 
-    def _emit(self, node: DAGNode, layout: Layout, out: RoutedOutput) -> None:
+    def _emit(self, node: DAGNode, layout: Layout, out: StreamingOutput) -> None:
         l2p = layout.physical_array()
         physical = tuple(int(l2p[q]) for q in node.qubits)
         position = len(out)
@@ -519,7 +451,7 @@ class SabreSwapRouter:
     def _swap_candidates(self, front_gates: List[DAGNode], layout: Layout) -> List[Tuple[int, int]]:
         l2p = layout.physical_array()
         indptr, indices = self._adj_indptr, self._adj_indices
-        candidates: Set[Tuple[int, int]] = set()
+        candidates = set()
         for node in front_gates:
             for logical in node.qubits:
                 physical = int(l2p[logical])
@@ -531,42 +463,12 @@ class SabreSwapRouter:
                         candidates.add((neighbor, physical))
         return sorted(candidates)
 
-    def _select_swap(
-        self,
-        candidates: List[Tuple[int, int]],
-        front_gates: List[DAGNode],
-        extended: List[DAGNode],
-        layout: Layout,
-        rng: np.random.Generator,
-    ) -> Tuple[int, int]:
-        """Pick the cheapest candidate (composition of the three scoring sub-steps)."""
-        self._begin_scoring(candidates)
-        scores = self._compute_scores(candidates, front_gates, extended, layout)
-        return self._choose_swap(candidates, scores, rng)
-
     def _begin_scoring(self, candidates: List[Tuple[int, int]]) -> None:
         """Validate the candidate set and account for the upcoming scoring step."""
         if not candidates:
             raise TranspilerError("no SWAP candidates available (disconnected coupling map?)")
         COUNTERS.inc("routing.swap_candidates_scored", len(candidates))
         COUNTERS.inc("routing.swap_selections")
-
-    def _compute_scores(
-        self,
-        candidates: List[Tuple[int, int]],
-        front_gates: List[DAGNode],
-        extended: List[DAGNode],
-        layout: Layout,
-    ) -> np.ndarray:
-        """Score array for one candidate set (what a :class:`ScoreRequest` evaluates)."""
-        if type(self)._score_swap in _VECTOR_SAFE_SCORE_SWAPS:
-            return np.asarray(
-                self._score_candidates(candidates, front_gates, extended, layout), dtype=float
-            )
-        # A subclass supplied its own per-swap cost function: honour it scalar-wise.
-        return np.array(
-            [self._score_swap(swap, front_gates, extended, layout) for swap in candidates]
-        )
 
     def _choose_swap(
         self,
@@ -609,45 +511,6 @@ class SabreSwapRouter:
         mapped_b = np.where(pb == c0, c1, np.where(pb == c1, c0, pb))
         return mapped_a, mapped_b
 
-    def _mapped_distance_table(
-        self,
-        c0: np.ndarray,
-        c1: np.ndarray,
-        nodes: List[DAGNode],
-        layout: Layout,
-    ) -> np.ndarray:
-        """(candidates x gates) table of post-swap distances for two-qubit ``nodes``."""
-        mapped_a, mapped_b = self._mapped_index_arrays(c0, c1, nodes, layout)
-        return self.distance[mapped_a, mapped_b]
-
-    def _front_ext_sums(
-        self,
-        c0: np.ndarray,
-        c1: np.ndarray,
-        front_gates: List[DAGNode],
-        extended: List[DAGNode],
-        layout: Layout,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-candidate (front, extended) distance sums through the shared kernel."""
-        mapped_a, mapped_b = self._mapped_index_arrays(
-            c0, c1, front_gates + extended, layout
-        )
-        return front_ext_sums(self.distance, mapped_a, mapped_b, len(front_gates))
-
-    @staticmethod
-    def _sequential_column_sums(table: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Per-row sums of ``table[:, start:stop]`` accumulated column by column.
-
-        Sequential (not pairwise) accumulation keeps the float result bit-identical to
-        the historical per-gate scalar loop even for non-integer (noise-aware) distance
-        matrices, where pairwise summation could differ in the last ulp and flip a
-        1e-12 tie-break.
-        """
-        totals = np.zeros(table.shape[0])
-        for column in range(start, stop):
-            totals += table[:, column]
-        return totals
-
     def _score_candidates(
         self,
         candidates: Sequence[Tuple[int, int]],
@@ -657,12 +520,16 @@ class SabreSwapRouter:
     ) -> np.ndarray:
         """SABRE lookahead cost of every candidate in one vectorized evaluation.
 
-        Elementwise identical to scoring each candidate through :meth:`_score_swap`:
-        normalised front-layer distance plus weighted lookahead, scaled by the decay of
+        Normalised front-layer distance plus weighted lookahead, scaled by the decay of
         the candidate's hotter qubit.
         """
         c0, c1 = self._candidate_arrays(candidates)
-        front_raw, ext_raw = self._front_ext_sums(c0, c1, front_gates, extended, layout)
+        mapped_a, mapped_b = self._mapped_index_arrays(
+            c0, c1, front_gates + extended, layout
+        )
+        front_raw, ext_raw = front_ext_sums(
+            self.distance, mapped_a, mapped_b, len(front_gates)
+        )
         return self._finalize_scores(
             candidates, c0, c1, front_raw, ext_raw, front_gates, extended
         )
@@ -689,23 +556,7 @@ class SabreSwapRouter:
         decay = np.maximum(self._decay[c0], self._decay[c1])
         return decay * cost
 
-    def _score_swap(
-        self,
-        swap: Tuple[int, int],
-        front_gates: List[DAGNode],
-        extended: List[DAGNode],
-        layout: Layout,
-    ) -> float:
-        """Cost of a single candidate (the scalar view of :meth:`_score_candidates`)."""
-        return float(self._score_candidates([swap], front_gates, extended, layout)[0])
-
-    def _swap_label(
-        self,
-        swap: Tuple[int, int],
-        front_gates: List[DAGNode],
-        layout: Layout,
-        out: RoutedOutput,
-    ) -> Optional[str]:
+    def _swap_label(self, swap: Tuple[int, int]) -> Optional[str]:
         """Hook for optimization-aware SWAP decomposition labels (fixed orientation here)."""
         return None
 
@@ -717,15 +568,8 @@ class SabreSwapRouter:
         return (min(path[0], path[1]), max(path[0], path[1]))
 
 
-#: ``_score_swap`` implementations known to be exact scalar views of the vectorized
-#: ``_score_candidates`` path.  ``_select_swap`` takes the vectorized route only when the
-#: instance's ``_score_swap`` is one of these, so a third-party subclass overriding
-#: ``_score_swap`` alone is still honoured candidate-by-candidate.
-_VECTOR_SAFE_SCORE_SWAPS = {SabreSwapRouter._score_swap}
-
-
 class SabreRouting(TransformationPass):
-    """Transpiler pass wrapper around :class:`SabreSwapRouter`."""
+    """Transpiler pass wrapper around :class:`SabreSwapRouter` (or a subclass)."""
 
     def __init__(
         self,
@@ -783,9 +627,9 @@ class SabreLayoutSelection(AnalysisPass):
 
     def run(self, dag: DAGCircuit, property_set: PropertySet) -> None:
         layout = Layout.random(dag.num_qubits, self.coupling_map.num_qubits, seed=self.seed)
-        traversal_dags = prepare_layout_dags(dag)
-        if traversal_dags is not None:
+        traversals = layout_traversals(dag) if self.iterations > 0 else None
+        if traversals is not None:
             layout = drive_steps(
-                layout_selection_steps(self.router, layout, self.iterations, *traversal_dags)
+                layout_selection_steps(self.router, layout, self.iterations, traversals)
             )
         property_set["layout"] = layout

@@ -1,9 +1,10 @@
-"""Unit tests for the DAG circuit representation and the execution frontier."""
+"""Unit tests for the DAG circuit representation and the routers' dependency frontier."""
 
 import pytest
 
-from repro.circuit import DAGCircuit, ExecutionFrontier, QuantumCircuit
+from repro.circuit import DAGCircuit, QuantumCircuit, StreamingDAG, random_circuit
 from repro.exceptions import CircuitError
+from repro.transpiler.passes.sabre import whole_frontier
 
 
 def layered_circuit() -> QuantumCircuit:
@@ -96,10 +97,15 @@ class TestRemoveNode:
             dag.remove_node(node)
 
 
-class TestExecutionFrontier:
+def whole_window(dag: DAGCircuit) -> StreamingDAG:
+    """The frontier in-memory routing walks: the whole DAG admitted up front."""
+    return whole_frontier(dag.op_nodes(), dag.num_qubits, dag.num_clbits)
+
+
+class TestWholeWindowFrontier:
     def test_resolve_unlocks_successors(self):
         dag = DAGCircuit.from_circuit(layered_circuit())
-        frontier = ExecutionFrontier(dag)
+        frontier = whole_window(dag)
         start_names = {n.name for n in frontier.front}
         assert start_names == {"h", "cx"}
         h_node = next(n for n in frontier.front if n.name == "h")
@@ -108,14 +114,14 @@ class TestExecutionFrontier:
 
     def test_cannot_resolve_blocked_node(self):
         dag = DAGCircuit.from_circuit(layered_circuit())
-        frontier = ExecutionFrontier(dag)
-        blocked = dag.op_nodes()[3]  # cx(1,2) depends on both earlier CNOTs
+        frontier = whole_window(dag)
+        blocked = frontier.nodes[3]  # cx(1,2) depends on both earlier CNOTs
         with pytest.raises(CircuitError):
             frontier.resolve(blocked)
 
     def test_full_resolution_drains_dag(self):
         dag = DAGCircuit.from_circuit(layered_circuit())
-        frontier = ExecutionFrontier(dag)
+        frontier = whole_window(dag)
         resolved = 0
         while not frontier.is_done():
             frontier.resolve(frontier.front[0])
@@ -125,7 +131,7 @@ class TestExecutionFrontier:
 
     def test_lookahead_returns_upcoming_two_qubit_gates(self):
         dag = DAGCircuit.from_circuit(layered_circuit())
-        frontier = ExecutionFrontier(dag)
+        frontier = whole_window(dag)
         lookahead = frontier.lookahead(5)
         # Successors of the front layer that are not themselves executable yet.
         assert [n.qubits for n in lookahead] == [(0, 1), (1, 2)]
@@ -135,5 +141,34 @@ class TestExecutionFrontier:
         circuit = QuantumCircuit(2)
         for _ in range(10):
             circuit.cx(0, 1)
-        frontier = ExecutionFrontier(DAGCircuit.from_circuit(circuit))
+        frontier = whole_window(DAGCircuit.from_circuit(circuit))
         assert len(frontier.lookahead(3)) == 3
+
+    def test_walk_follows_dag_dependencies(self):
+        # Node ids follow insertion order, so every step must match the DAG's own
+        # dependency sets: the front is exactly the unresolved nodes whose predecessors
+        # are all resolved, and a resolve unlocks successors in ascending id order.
+        circuit = random_circuit(6, 15, seed=11)
+        circuit.measure_all()
+        dag = DAGCircuit.from_circuit(circuit)
+        frontier = whole_window(dag)
+        resolved = set()
+
+        def ready(node):
+            return node.node_id not in resolved and all(
+                pred.node_id in resolved for pred in dag.predecessors(node)
+            )
+
+        steps = 0
+        while not frontier.is_done():
+            front = frontier.front
+            assert {n.node_id for n in front} == {n.node_id for n in dag.op_nodes() if ready(n)}
+            node = front[steps % len(front)]
+            newly = frontier.resolve(node)
+            resolved.add(node.node_id)
+            dag_node = dag.node(node.node_id)
+            assert [n.node_id for n in newly] == [
+                s.node_id for s in dag.successors(dag_node) if ready(s)
+            ]
+            steps += 1
+        assert steps == len(dag)

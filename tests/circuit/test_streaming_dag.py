@@ -1,20 +1,22 @@
-"""Tests for :class:`repro.circuit.StreamingDAG` — the windowed dependency frontier.
+"""Tests for :class:`repro.circuit.StreamingDAG` — the routers' dependency frontier.
 
-The contract: walked with the same resolve sequence, a StreamingDAG must be
-step-for-step identical to an :class:`ExecutionFrontier` over the full DAG (front
+The contract: walked with the same resolve sequence, a window of W gates must be
+step-for-step identical to the whole-window frontier in-memory routing walks (front
 content *and order*, lookahead content and order), while keeping the live node count
-bounded by the window and its spill allowance.
+bounded by the window and its spill allowance.  The reference admits the whole circuit
+up front, so its lookahead-spill and pre-retirement fill branches never run.
 """
 
 import pytest
 
-from repro.circuit import DAGCircuit, ExecutionFrontier, StreamingDAG, random_circuit
+from repro.circuit import StreamingDAG, random_circuit
 from repro.circuit.random import random_circuit_stream
 from repro.exceptions import CircuitError
+from repro.transpiler.passes.sabre import whole_frontier
 
 
 def frontier_pair(circuit, window_gates):
-    full = ExecutionFrontier(DAGCircuit.from_circuit(circuit))
+    full = whole_frontier(circuit.data, circuit.num_qubits, circuit.num_clbits)
     streamed = StreamingDAG(
         iter(circuit.data), circuit.num_qubits, circuit.num_clbits,
         window_gates=window_gates,
@@ -96,3 +98,21 @@ def test_version_bumps_on_resolve():
     before = streamed.version
     streamed.resolve(streamed.front[0])
     assert streamed.version == before + 1
+
+
+def test_copy_walks_independently():
+    circuit = random_circuit(5, 12, seed=4)
+    circuit.measure_all()
+    original = whole_frontier(circuit.data, circuit.num_qubits, circuit.num_clbits)
+    first = original.copy()
+    steps = walk_both(first, whole_frontier(circuit.data, 5, circuit.num_clbits))
+    assert steps == len(circuit.data)
+    # Walking a copy to exhaustion leaves the original at its initial state.
+    assert original.num_remaining() == len(circuit.data)
+    assert walk_both(original.copy(), original) == steps
+
+
+def test_copy_requires_an_exhausted_source():
+    streamed = StreamingDAG(random_circuit_stream(4, 100, seed=0), 4, window_gates=16)
+    with pytest.raises(CircuitError, match="fully admitted"):
+        streamed.copy()

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.circuit import QuantumCircuit, random_cx_circuit
+from repro.circuit import QuantumCircuit, qasm, random_circuit, random_cx_circuit
 from repro.core import NASSCConfig
 from repro.core.nassc import NASSCRouting, NASSCSwapRouter
 from repro.hardware import linear_coupling_map
 from repro.transpiler import PropertySet
 from repro.transpiler.passes import SabreSwapRouter, coupling_violations
+from repro.transpiler.passes.sabre import StreamingOutput
 
 
 class TestNASSCConfig:
@@ -91,3 +92,26 @@ class TestNASSCRoutingPass:
         assert "final_layout" in props
         assert props["num_swaps"] >= 1
         assert not coupling_violations(routed, linear5)
+
+
+class TestOutputTrim:
+    def test_trimmed_sink_routes_like_an_untrimmed_one(self, monkeypatch):
+        """The output sink drops positions no wire history references; the NASSC
+        estimators only read referenced positions, so trimming must not change any
+        routing decision or SWAP label."""
+        circuit = random_circuit(8, 400, seed=5, two_qubit_prob=0.5)
+        assert len(circuit.data) >= 2000
+        coupling = linear_coupling_map(8)
+
+        router = NASSCSwapRouter(coupling, seed=2)
+        trimmed = router.route(circuit)
+        # The trim really ran: the sink retains a bounded tail, not every position.
+        assert len(router._out.data) < len(trimmed.dag) // 2
+
+        monkeypatch.setattr(StreamingOutput, "_TRIM_INTERVAL", 10 * len(circuit.data))
+        untrimmed_router = NASSCSwapRouter(coupling, seed=2)
+        untrimmed = untrimmed_router.route(circuit)
+        assert len(untrimmed_router._out.data) == len(untrimmed.dag)
+
+        assert trimmed.swap_labels and trimmed.swap_labels == untrimmed.swap_labels
+        assert qasm.dumps(trimmed.circuit) == qasm.dumps(untrimmed.circuit)

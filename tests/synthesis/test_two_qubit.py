@@ -71,6 +71,19 @@ class TestWeylCoordinates:
         assert coords[0] == pytest.approx(0.4, abs=1e-7)
         assert coords[1] == pytest.approx(0.0, abs=1e-7)
 
+    def test_eigensolver_nonconvergence_falls_back(self):
+        # M2 of this SWAP-class unitary holds ~1e-34 residue on which LAPACK's general
+        # eigensolver reports "Eigenvalues did not converge".
+        a = 0.16796518616009276 * (1 + 1j)
+        b = 0.6868680340780209 * (1 - 1j)
+        unitary = np.array(
+            [[a, 0, b, 0], [b, 0, a, 0], [0, a, 0, b], [0, b, 0, a]], dtype=complex
+        )
+        assert np.allclose(
+            weyl_coordinates(unitary), (QUARTER_PI, QUARTER_PI, QUARTER_PI), atol=1e-7
+        )
+        assert cnot_count(unitary) == 3
+
     def test_rejects_non_unitary(self):
         with pytest.raises(SynthesisError):
             weyl_coordinates(np.ones((4, 4)))

@@ -13,7 +13,6 @@ from repro.core.options import O3_DEFAULT_BEST_OF, TranspileOptions
 from repro.core.pipeline import transpile
 from repro.exceptions import TranspilerError
 from repro.hardware import linear_coupling_map
-from repro.nativeext import front_ext_sums
 from repro.obs import COUNTERS, Tracer, use_tracer
 from repro.transpiler.ensemble import (
     EnsembleRouting,
@@ -21,6 +20,7 @@ from repro.transpiler.ensemble import (
     trial_stage_seeds,
 )
 from repro.transpiler.passes import coupling_violations
+from repro.transpiler.passes.sabre import front_ext_sums
 
 
 def _bench_circuit(seed=7, qubits=6, gates=30):

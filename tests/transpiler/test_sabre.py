@@ -14,6 +14,7 @@ from repro.transpiler.passes import (
     SabreSwapRouter,
     coupling_violations,
 )
+from repro.transpiler.passes.sabre import front_ext_sums
 
 
 def all_gates_mapped(circuit, coupling):
@@ -171,3 +172,40 @@ class TestWireHistoryBound:
         assert max(lengths) <= WIRE_HISTORY_BOUND
         # Every wire saw far more operations than it retains.
         assert len(result.dag) > 10000
+
+
+def _random_tables(rng, n, rows, cols):
+    return (
+        rng.integers(0, n, size=(rows, cols)),
+        rng.integers(0, n, size=(rows, cols)),
+    )
+
+
+class TestNumpyKernel:
+    """The shared (front, extended) distance-sum kernel behind candidate scoring."""
+
+    def test_matches_scalar_reference(self):
+        rng = np.random.default_rng(1)
+        n = 7
+        distance = np.ascontiguousarray(np.abs(rng.normal(size=(n, n))))
+        a, b = _random_tables(rng, n, rows=5, cols=6)
+        front, ext = front_ext_sums(distance, a, b, front_cols=4)
+        for row in range(5):
+            want_front = 0.0
+            for col in range(4):
+                want_front += distance[a[row, col], b[row, col]]
+            want_ext = 0.0
+            for col in range(4, 6):
+                want_ext += distance[a[row, col], b[row, col]]
+            assert front[row] == want_front
+            assert ext[row] == want_ext
+
+    def test_all_front_or_all_ext(self):
+        rng = np.random.default_rng(2)
+        distance = np.ascontiguousarray(np.abs(rng.normal(size=(5, 5))))
+        a, b = _random_tables(rng, 5, rows=3, cols=4)
+        front, ext = front_ext_sums(distance, a, b, front_cols=4)
+        assert np.all(ext == 0.0)
+        front2, ext2 = front_ext_sums(distance, a, b, front_cols=0)
+        assert np.all(front2 == 0.0)
+        assert ext2.tobytes() == front.tobytes()
