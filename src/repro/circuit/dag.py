@@ -535,6 +535,11 @@ class StreamingDAG:
     def front(self) -> List[DAGNode]:
         return list(self._front)
 
+    @property
+    def front_size(self) -> int:
+        """Number of executable nodes (:attr:`front` without copying it)."""
+        return len(self._front)
+
     def is_done(self) -> bool:
         if self._front:
             return False

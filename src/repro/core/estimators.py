@@ -15,6 +15,10 @@ is exactly the information the compiler has at SWAP-insertion time.  ``out`` is 
 whose ``data`` can be indexed by output position — the router's live
 :class:`~repro.transpiler.passes.sabre.StreamingOutput` (a position-keyed dict) during
 routing, or a plain :class:`~repro.circuit.circuit.QuantumCircuit` in tests.
+
+All three estimates read the same sequence: the routed ops on the SWAP's two wires,
+newest first (:class:`_MergedHistory`).  It is merged lazily from the two wire histories,
+one op at a time, and shared, so one estimate walks the routed prefix once.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuit.circuit import Instruction, QuantumCircuit
+from ..circuit.circuit import Instruction, expanded_gate_matrix
 from ..circuit.gates import gate as make_gate
 from ..synthesis.two_qubit import cnot_count_from_coordinates, weyl_coordinates
+from ..transpiler.passes.basis import _ROUTABLE_2Q
 from ..transpiler.passes.commutation import gates_commute
+from ..transpiler.passes.swap_lowering import swap_orientation
 
 _SWAP_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -37,6 +43,9 @@ _SWAP_MATRIX = np.array(
 MAX_BLOCK_GATES = 8
 #: Maximum number of gates scanned through a commute set (paper Sec. IV-E uses 20).
 MAX_COMMUTE_SCAN = 20
+#: Entry bound of the process-wide Weyl CNOT-count memo; a miss that finds it full
+#: clears it first.
+COUNT_CACHE_MAX = 200_000
 
 
 @dataclass
@@ -60,6 +69,47 @@ class SwapEstimate:
         return total
 
 
+class _MergedHistory:
+    """The routed ops on two wires, newest first, merged lazily from their histories.
+
+    ``op(k)`` is the ``k``-th newest output op touching either wire (an op on both wires
+    appears once), or ``None`` past the oldest.  Ops are fetched on first use and kept,
+    so the C2q block and both Ccommute scans of one estimate share one walk; most
+    estimates stop after the newest op or two.
+    """
+
+    __slots__ = ("_data", "_h0", "_h1", "_i0", "_i1", "positions", "ops")
+
+    def __init__(self, data, h0: Sequence[int], h1: Sequence[int]) -> None:
+        self._data = data
+        self._h0 = h0
+        self._h1 = h1
+        self._i0 = len(h0) - 1
+        self._i1 = len(h1) - 1
+        self.positions: List[int] = []
+        self.ops: List = []
+
+    def op(self, k: int):
+        ops = self.ops
+        while len(ops) <= k:
+            i0, i1 = self._i0, self._i1
+            if i0 < 0 and i1 < 0:
+                return None
+            pos0 = self._h0[i0] if i0 >= 0 else -1
+            pos1 = self._h1[i1] if i1 >= 0 else -1
+            if pos0 >= pos1:
+                pos = pos0
+                self._i0 = i0 - 1
+                if pos1 == pos0:
+                    self._i1 = i1 - 1
+            else:
+                pos = pos1
+                self._i1 = i1 - 1
+            self.positions.append(pos)
+            ops.append(self._data[pos])
+        return ops[k]
+
+
 class OptimizationEstimator:
     """Shared estimator used by the NASSC router for every SWAP candidate."""
 
@@ -70,12 +120,11 @@ class OptimizationEstimator:
 
     def __init__(self) -> None:
         self._probe_cache: Dict[Tuple[int, int], Instruction] = {}
-        # Per-output memo of scan-step outcomes, keyed by (position, control, target).
-        # Valid because ``out`` is append-only with immutable entries: an already-seen
-        # position always classifies identically.  Reset whenever a different output
-        # object shows up (each routing run creates a fresh one).
-        self._scan_out: Optional[QuantumCircuit] = None
-        self._scan_memo: Dict[Tuple[int, int, int], Optional[Tuple[bool, bool]]] = {}
+        #: ``gates_commute(op, cx(control, target))`` verdicts for routed two-qubit ops
+        #: (``cx``/``swap``), keyed on the op's gate token and the role of each of its
+        #: wires: 0 the probe's control, 1 its target, 2 neither.  Both gates are 0/1
+        #: permutation matrices, so the verdict depends on nothing else.
+        self._cx_probe_verdicts: Dict[Tuple, bool] = {}
 
     def _probe_cx(self, control: int, target: int) -> Instruction:
         """Shared ``cx(control, target)`` probe instruction (one allocation per pair)."""
@@ -85,102 +134,89 @@ class OptimizationEstimator:
             self._probe_cache[(control, target)] = probe
         return probe
 
-    # ------------------------------------------------------------------
-    # Helpers over the routed prefix
-    # ------------------------------------------------------------------
-
     @staticmethod
-    def _merged_backward(
-        out: QuantumCircuit, wire_history: Dict[int, List[int]], p0: int, p1: int
-    ):
-        """Iterate backward over output positions touching ``p0`` or ``p1`` (no duplicates)."""
-        i0 = len(wire_history[p0]) - 1
-        i1 = len(wire_history[p1]) - 1
-        while i0 >= 0 or i1 >= 0:
-            pos0 = wire_history[p0][i0] if i0 >= 0 else -1
-            pos1 = wire_history[p1][i1] if i1 >= 0 else -1
-            pos = max(pos0, pos1)
-            if pos < 0:
-                return
-            if pos == pos0:
-                i0 -= 1
-            if pos == pos1:
-                i1 -= 1
-            yield pos, out.data[pos]
-
-    def trailing_block(
-        self,
-        out: QuantumCircuit,
-        wire_history: Dict[int, List[int]],
-        p0: int,
-        p1: int,
-        max_gates: int = MAX_BLOCK_GATES,
-    ) -> List[int]:
-        """Positions of the maximal trailing run of gates confined to ``{p0, p1}``."""
-        block: List[int] = []
-        for pos, inst in self._merged_backward(out, wire_history, p0, p1):
-            if len(block) >= max_gates:
-                break
-            if (not inst.gate.is_unitary) or inst.name == "barrier":
-                break
-            if not set(inst.qubits) <= {p0, p1}:
-                break
-            block.append(pos)
-        return sorted(block)
+    def _merge(out, wire_history: Dict, p0: int, p1: int) -> _MergedHistory:
+        return _MergedHistory(out.data, wire_history[p0], wire_history[p1])
 
     # ------------------------------------------------------------------
     # C2q: two-qubit block re-synthesis
     # ------------------------------------------------------------------
 
-    def _block_signature(self, out: QuantumCircuit, positions: Sequence[int], p0: int, p1: int) -> Tuple:
-        mapping = {p0: 0, p1: 1}
-        signature = []
-        for pos in positions:
-            op = out.data[pos]
-            if op.name == "unitary":
-                # Explicit-matrix gates have no content token; key on the matrix itself
-                # so two different unitaries never share a memoised CNOT count.
-                token = ("unitary", op.gate.matrix().tobytes())
-            else:
-                token = op.gate.cache_token
-            signature.append((token, tuple(mapping[q] for q in op.qubits)))
-        return tuple(signature)
+    @staticmethod
+    def _block_size(merged: _MergedHistory, p0: int, p1: int, max_gates: int) -> int:
+        """Length of the maximal run of newest ops confined to ``{p0, p1}``."""
+        size = 0
+        while size < max_gates:
+            inst = merged.op(size)
+            if inst is None:
+                break
+            gate = inst.gate
+            if gate.name == "barrier" or not gate.is_unitary:
+                break
+            for q in inst.qubits:
+                if q != p0 and q != p1:
+                    return size
+            size += 1
+        return size
 
-    def _block_matrix(self, out: QuantumCircuit, positions: Sequence[int], p0: int, p1: int) -> np.ndarray:
-        local = QuantumCircuit(2)
-        mapping = {p0: 0, p1: 1}
-        for pos in positions:
-            inst = out.data[pos]
-            local.append(inst.gate.copy(), tuple(mapping[q] for q in inst.qubits))
-        return local.to_matrix()
+    def trailing_block(
+        self, out, wire_history: Dict, p0: int, p1: int, max_gates: int = MAX_BLOCK_GATES
+    ) -> List[int]:
+        """Positions of the maximal trailing run of gates confined to ``{p0, p1}``."""
+        merged = self._merge(out, wire_history, p0, p1)
+        size = self._block_size(merged, p0, p1, max_gates)
+        return sorted(merged.positions[:size])
+
+    @staticmethod
+    def _block_matrix(block: Sequence, p0: int, p1: int) -> np.ndarray:
+        """4x4 unitary of ``block`` (ops in circuit order, ``p0`` as local qubit 0).
+
+        The same product, in the same order, as ``QuantumCircuit.to_matrix()`` of the
+        block as a two-qubit circuit.
+        """
+        total = np.eye(4, dtype=complex)
+        for inst in block:
+            wires = tuple(0 if q == p0 else 1 for q in inst.qubits)
+            total = expanded_gate_matrix(inst.gate, wires, 2) @ total
+        return total
 
     def _cached_count(self, key: Tuple, matrix_fn) -> int:
-        if key not in self._count_cache:
-            coords = weyl_coordinates(matrix_fn())
-            self._count_cache[key] = cnot_count_from_coordinates(coords)
-            if len(self._count_cache) > 200000:
-                self._count_cache.clear()
-        return self._count_cache[key]
+        cache = self._count_cache
+        count = cache.get(key)
+        if count is None:
+            count = cnot_count_from_coordinates(weyl_coordinates(matrix_fn()))
+            if len(cache) >= COUNT_CACHE_MAX:
+                cache.clear()
+            cache[key] = count
+        return count
 
-    def estimate_c2q(
-        self,
-        out: QuantumCircuit,
-        wire_history: Dict[int, List[int]],
-        p0: int,
-        p1: int,
-    ) -> int:
-        """CNOT reduction from merging the SWAP into the trailing block on ``(p0, p1)``."""
-        block = self.trailing_block(out, wire_history, p0, p1)
-        if not any(len(out.data[pos].qubits) == 2 for pos in block):
+    def _c2q(self, merged: _MergedHistory, p0: int, p1: int) -> int:
+        size = self._block_size(merged, p0, p1, MAX_BLOCK_GATES)
+        block = merged.ops[:size]
+        for inst in block:
+            if len(inst.qubits) == 2:
+                break
+        else:
             return 0
-        signature = self._block_signature(out, block, p0, p1)
+        block.reverse()
+        signature = []
+        for inst in block:
+            gate = inst.gate
+            if gate.name == "unitary":
+                # Explicit-matrix gates have no content token; key on the matrix itself
+                # so two different unitaries never share a memoised CNOT count.
+                token = ("unitary", gate.matrix().tobytes())
+            else:
+                token = gate.cache_token
+            signature.append((token, tuple(0 if q == p0 else 1 for q in inst.qubits)))
+        signature = tuple(signature)
         # Build the block matrix lazily: when both CNOT counts are already memoised by
         # signature (the common case on warm caches) the matrix is never materialised.
         materialised: List[np.ndarray] = []
 
         def block_matrix() -> np.ndarray:
             if not materialised:
-                materialised.append(self._block_matrix(out, block, p0, p1))
+                materialised.append(self._block_matrix(block, p0, p1))
             return materialised[0]
 
         count_before = self._cached_count(("blk", signature), block_matrix)
@@ -190,81 +226,70 @@ class OptimizationEstimator:
         reduction = 3 - (count_after - count_before)
         return int(max(0, min(3, reduction)))
 
+    def estimate_c2q(self, out, wire_history: Dict, p0: int, p1: int) -> int:
+        """CNOT reduction from merging the SWAP into the trailing block on ``(p0, p1)``."""
+        return self._c2q(self._merge(out, wire_history, p0, p1), p0, p1)
+
     # ------------------------------------------------------------------
     # Ccommute1 / Ccommute2: commutation-based cancellation
     # ------------------------------------------------------------------
 
+    def _commutes_with_cx(self, inst, control: int, target: int) -> bool:
+        """``gates_commute(inst, cx(control, target))``, memoised for ``cx``/``swap`` ops."""
+        if inst.gate.name not in _ROUTABLE_2Q:
+            return gates_commute(inst, self._probe_cx(control, target))
+        a, b = inst.qubits
+        key = (
+            inst.gate.cache_token,
+            0 if a == control else 1 if a == target else 2,
+            0 if b == control else 1 if b == target else 2,
+        )
+        verdict = self._cx_probe_verdicts.get(key)
+        if verdict is None:
+            verdict = gates_commute(inst, self._probe_cx(control, target))
+            self._cx_probe_verdicts[key] = verdict
+        return verdict
+
     def _scan_for_cancellation(
-        self,
-        out: QuantumCircuit,
-        wire_history: Dict[int, List[int]],
-        p0: int,
-        p1: int,
-        control: int,
-        target: int,
+        self, merged: _MergedHistory, p0: int, p1: int, control: int, target: int
     ) -> Tuple[bool, bool]:
         """Scan backward for a CNOT or SWAP on ``(p0, p1)`` reachable through a commute set.
 
         Returns ``(found_cx, found_swap)`` for the first matching gate whose first CNOT of the
         candidate SWAP (``cx(control, target)``) could cancel with it.  The scan skips
         single-qubit gates (they are moved through the SWAP, Sec. IV-E) and gates that commute
-        with ``cx(control, target)``.
+        with ``cx(control, target)``; any other gate ends it.
         """
-        if out is not self._scan_out:
-            self._scan_out = out
-            self._scan_memo = {}
-        memo = self._scan_memo
-        scanned = 0
-        for pos, inst in self._merged_backward(out, wire_history, p0, p1):
-            if scanned >= MAX_COMMUTE_SCAN:
+        for k in range(MAX_COMMUTE_SCAN):
+            inst = merged.op(k)
+            if inst is None:
                 break
-            scanned += 1
-            # ``None`` means "skip and keep scanning"; a tuple is the scan's verdict.
-            key = (pos, control, target)
-            if key in memo:
-                step = memo[key]
-            else:
-                step = self._scan_step(inst, p0, p1, control, target)
-                memo[key] = step
-            if step is None:
+            gate = inst.gate
+            name = gate.name
+            if name == "barrier" or not gate.is_unitary:
+                break
+            qubits = inst.qubits
+            if len(qubits) == 1:
+                # Single-qubit gates before a SWAP are moved to the swapped wire.
                 continue
-            return step
+            if name in _ROUTABLE_2Q:
+                a, b = qubits
+                if (a == p0 and b == p1) or (a == p1 and b == p0):
+                    if name == "cx":
+                        return a == control, False
+                    # The last CNOT of the previous SWAP has the same orientation as
+                    # its first.
+                    return False, swap_orientation(gate.label, qubits) == control
+            if not self._commutes_with_cx(inst, control, target):
+                break
         return False, False
 
-    def _scan_step(
-        self, inst: Instruction, p0: int, p1: int, control: int, target: int
-    ) -> Optional[Tuple[bool, bool]]:
-        """Classify one scanned instruction: ``None`` to keep scanning, else the verdict."""
-        if (not inst.gate.is_unitary) or inst.name == "barrier":
-            return False, False
-        if len(inst.qubits) == 1:
-            # Single-qubit gates before a SWAP are moved to the swapped wire.
-            return None
-        if inst.name == "cx" and set(inst.qubits) == {p0, p1}:
-            if inst.qubits == (control, target):
-                return True, False
-            return False, False
-        if inst.name == "swap" and set(inst.qubits) == {p0, p1}:
-            from ..transpiler.passes.swap_lowering import swap_orientation
-
-            previous_control = swap_orientation(inst.gate.label, inst.qubits)
-            # The last CNOT of the previous SWAP has the same orientation as its first.
-            return False, previous_control == control
-        if gates_commute(inst, self._probe_cx(control, target)):
-            return None
-        return False, False
-
-    def estimate_commutation(
-        self,
-        out: QuantumCircuit,
-        wire_history: Dict[int, List[int]],
-        p0: int,
-        p1: int,
+    def _commutation(
+        self, merged: _MergedHistory, p0: int, p1: int
     ) -> Tuple[int, int, Optional[int]]:
-        """``(Ccommute1, Ccommute2, orientation)`` for a SWAP candidate on ``(p0, p1)``."""
         for control, target in ((p0, p1), (p1, p0)):
             found_cx, found_swap = self._scan_for_cancellation(
-                out, wire_history, p0, p1, control, target
+                merged, p0, p1, control, target
             )
             if found_cx:
                 return 2, 0, control
@@ -272,12 +297,18 @@ class OptimizationEstimator:
                 return 0, 2, control
         return 0, 0, None
 
+    def estimate_commutation(
+        self, out, wire_history: Dict, p0: int, p1: int
+    ) -> Tuple[int, int, Optional[int]]:
+        """``(Ccommute1, Ccommute2, orientation)`` for a SWAP candidate on ``(p0, p1)``."""
+        return self._commutation(self._merge(out, wire_history, p0, p1), p0, p1)
+
     # ------------------------------------------------------------------
 
     def estimate(
         self,
-        out: QuantumCircuit,
-        wire_history: Dict[int, List[int]],
+        out,
+        wire_history: Dict,
         p0: int,
         p1: int,
         *,
@@ -286,13 +317,12 @@ class OptimizationEstimator:
         enable_commute2: bool = True,
     ) -> SwapEstimate:
         """Full estimate for a candidate SWAP on physical qubits ``(p0, p1)``."""
+        merged = self._merge(out, wire_history, p0, p1)
         estimate = SwapEstimate()
         if enable_2q:
-            estimate.c2q = self.estimate_c2q(out, wire_history, p0, p1)
+            estimate.c2q = self._c2q(merged, p0, p1)
         if enable_commute1 or enable_commute2:
-            commute1, commute2, orientation = self.estimate_commutation(
-                out, wire_history, p0, p1
-            )
+            commute1, commute2, orientation = self._commutation(merged, p0, p1)
             estimate.ccommute1 = commute1 if enable_commute1 else 0
             estimate.ccommute2 = commute2 if enable_commute2 else 0
             if (estimate.ccommute1 or estimate.ccommute2) and orientation is not None:

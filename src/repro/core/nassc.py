@@ -73,7 +73,12 @@ class NASSCSwapRouter(SabreSwapRouter):
         self.config = config or NASSCConfig()
         self._estimator = OptimizationEstimator()
         self._estimates: Dict[Tuple[int, int], SwapEstimate] = {}
-        self._estimate_memo: Dict[Tuple[int, int], Tuple[int, int, SwapEstimate]] = {}
+        #: swap -> (wire tail positions, estimate, its float reduction total).
+        self._estimate_memo: Dict[
+            Tuple[int, int], Tuple[int, int, SwapEstimate, float]
+        ] = {}
+        #: Memo hits not yet added to ``COUNTERS`` (flushed once per scoring step).
+        self._memo_hits = 0
 
     # ------------------------------------------------------------------
 
@@ -82,15 +87,16 @@ class NASSCSwapRouter(SabreSwapRouter):
         # never leak across runs.
         self._estimates = {}
         self._estimate_memo = {}
+        self._memo_hits = 0
 
     # ------------------------------------------------------------------
     # Optimization-aware cost function (Eq. 2)
     # ------------------------------------------------------------------
 
-    def _estimate_for(self, swap: Tuple[int, int]) -> SwapEstimate:
-        estimate = self._estimates.get(swap)
-        if estimate is not None:
-            return estimate
+    def _estimate_entry(
+        self, swap: Tuple[int, int]
+    ) -> Tuple[int, int, SwapEstimate, float]:
+        """Memo entry of ``swap`` for the current routed prefix; records its estimate."""
         # An estimate is a pure function of the routed prefixes of the swap's two wires:
         # the estimator only visits output positions recorded in the two wire histories,
         # and the output is append-only with immutable entries.  Wire histories grow by
@@ -98,34 +104,41 @@ class NASSCSwapRouter(SabreSwapRouter):
         # proves both histories — and hence the estimate — are unchanged since the last
         # SWAP insertion.  That makes the cross-round memo below exact, not heuristic.
         history = self._wire_history
-        h0, h1 = history[swap[0]], history[swap[1]]
+        p0, p1 = swap
+        h0, h1 = history[p0], history[p1]
         tail0 = h0[-1] if h0 else -1
         tail1 = h1[-1] if h1 else -1
-        memo = self._estimate_memo.get(swap)
-        if memo is not None and memo[0] == tail0 and memo[1] == tail1:
-            estimate = memo[2]
-            COUNTERS.inc("routing.nassc.estimate_memo_hits")
+        entry = self._estimate_memo.get(swap)
+        if entry is not None and entry[0] == tail0 and entry[1] == tail1:
+            self._memo_hits += 1
         else:
             COUNTERS.inc("routing.nassc.estimates")
+            config = self.config
             # ``self._out`` is the run's output sink: the estimators scan the resolved
             # layer through its position-keyed ``data``.
             estimate = self._estimator.estimate(
                 self._out,
-                self._wire_history,
-                swap[0],
-                swap[1],
-                enable_2q=self.config.enable_2q_resynthesis,
-                enable_commute1=self.config.enable_commutation1,
-                enable_commute2=self.config.enable_commutation2,
+                history,
+                p0,
+                p1,
+                enable_2q=config.enable_2q_resynthesis,
+                enable_commute1=config.enable_commutation1,
+                enable_commute2=config.enable_commutation2,
             )
-            self._estimate_memo[swap] = (tail0, tail1, estimate)
-        self._estimates[swap] = estimate
-        return estimate
+            entry = (tail0, tail1, estimate, float(estimate.total(*config.as_tuple())))
+            self._estimate_memo[swap] = entry
+        self._estimates[swap] = entry[2]
+        return entry
+
+    def _flush_memo_hits(self) -> None:
+        if self._memo_hits:
+            COUNTERS.inc("routing.nassc.estimate_memo_hits", self._memo_hits)
+            self._memo_hits = 0
 
     def _begin_scoring(self, candidates) -> None:
         # The per-step table is rebuilt each scoring round (the routed prefix may have
         # changed); candidates whose two wires are untouched since their last estimate
-        # are revalidated cheaply through ``_estimate_memo`` in ``_estimate_for``.
+        # are revalidated cheaply through ``_estimate_memo`` in ``_estimate_entry``.
         self._estimates = {}
         super()._begin_scoring(candidates)
 
@@ -146,23 +159,11 @@ class NASSCSwapRouter(SabreSwapRouter):
         Python loop, because each one inspects the routed prefix through the estimator.
         Elementwise identical to the historical per-swap scalar scoring.
         """
-        front_size = max(len(front_gates), 1)
-        distance_term = 3.0 * front_raw
-        reductions = np.fromiter(
-            (
-                float(
-                    self._estimate_for(swap).total(
-                        self.config.enable_2q_resynthesis,
-                        self.config.enable_commutation1,
-                        self.config.enable_commutation2,
-                    )
-                )
-                for swap in candidates
-            ),
-            dtype=float,
-            count=len(candidates),
-        )
-        cost = (distance_term - reductions) / front_size
+        entry = self._estimate_entry
+        reductions = np.array([entry(swap)[3] for swap in candidates], dtype=float)
+        # Every hit of this step is counted now, so none is pending when a run ends.
+        self._flush_memo_hits()
+        cost = (3.0 * front_raw - reductions) / max(len(front_gates), 1)
         if extended:
             cost += self.extended_set_weight * ext_raw / len(extended)
         decay = np.maximum(self._decay[c0], self._decay[c1])
@@ -175,7 +176,8 @@ class NASSCSwapRouter(SabreSwapRouter):
     def _swap_label(self, swap) -> Optional[str]:
         estimate = self._estimates.get(swap)
         if estimate is None:
-            estimate = self._estimate_for(swap)
+            estimate = self._estimate_entry(swap)[2]
+            self._flush_memo_hits()
         if estimate.orientation is not None:
             return f"ctrl:{estimate.orientation}"
         return None

@@ -195,16 +195,14 @@ def _evaluate_batch(
     for trial, request in pairs:
         c0, c1 = request.router._candidate_arrays(request.candidates)
         candidate_arrays.append((c0, c1))
-        fa, fb = request.router._mapped_index_arrays(
-            c0, c1, request.front_gates, request.layout
+        mapped_a, mapped_b = request.router._mapped_index_arrays(
+            c0, c1, request.qubit_pairs, request.layout
         )
-        front_tables.append((fa, fb))
+        width = len(request.front_gates)
+        front_tables.append((mapped_a[:, :width], mapped_b[:, :width]))
         if request.extended:
-            ea, eb = request.router._mapped_index_arrays(
-                c0, c1, request.extended, request.layout
-            )
             ext_slots.append(len(ext_tables))
-            ext_tables.append((ea, eb))
+            ext_tables.append((mapped_a[:, width:], mapped_b[:, width:]))
         else:
             ext_slots.append(None)
     front_sums = _stacked_sums(distance, front_tables)

@@ -38,8 +38,8 @@ from .layout import Layout
 
 #: Per-wire bound on the router's position history.  The NASSC estimators scan the
 #: routed prefix backward through :meth:`repro.core.estimators.OptimizationEstimator`
-#: and consume at most ``MAX_COMMUTE_SCAN + 1`` merged positions (trailing-block
-#: reconstruction stops even earlier at ``MAX_BLOCK_GATES + 1``), so keeping a few more
+#: and consume at most ``MAX_COMMUTE_SCAN`` merged positions (trailing-block
+#: reconstruction stops even earlier at ``MAX_BLOCK_GATES``), so keeping a few more
 #: than that per wire is exactly equivalent to unbounded history — without the unbounded
 #: memory growth on long circuits.  ``tests/transpiler/test_sabre.py`` asserts this
 #: constant dominates the estimator scan depths.
@@ -53,20 +53,20 @@ def front_ext_sums(
 
     ``mapped_a``/``mapped_b`` are (rows x cols) integer tables of physical qubit
     indices; column ``c < front_cols`` belongs to the front window, the rest to the
-    extended window.  One fancy-indexed gather, then sequential (not pairwise) column
+    extended window.  One fancy-indexed gather, then sequential (not pairwise) row
     sums: that keeps the float64 result bit-identical to a per-gate scalar loop even for
     non-integer (noise-aware) distance matrices, where pairwise summation could differ
     in the last ulp and flip a 1e-12 tie-break.
     """
     table = distance[mapped_a, mapped_b]
-    rows, cols = table.shape
-    front = np.zeros(rows)
-    for column in range(front_cols):
-        front += table[:, column]
-    ext = np.zeros(rows)
-    for column in range(front_cols, cols):
-        ext += table[:, column]
-    return front, ext
+    return _row_sums(table[:, :front_cols]), _row_sums(table[:, front_cols:])
+
+
+def _row_sums(table: np.ndarray) -> np.ndarray:
+    """Left-to-right row sums: ``np.add.accumulate`` adds one column at a time."""
+    if table.shape[1] == 0:
+        return np.zeros(table.shape[0])
+    return np.add.accumulate(table, axis=1)[:, -1]
 
 
 class _LiteOp:
@@ -199,12 +199,14 @@ class ScoreRequest:
     candidates: List[Tuple[int, int]]
     front_gates: List[DAGNode]
     extended: List[DAGNode]
+    #: (2 x gates) logical qubit pairs of ``front_gates + extended``, in that order.
+    qubit_pairs: np.ndarray
     layout: Layout
 
     def evaluate(self) -> np.ndarray:
         """Score this request in isolation (the single-trial path)."""
         return self.router._score_candidates(
-            self.candidates, self.front_gates, self.extended, self.layout
+            self.candidates, self.front_gates, self.extended, self.qubit_pairs, self.layout
         )
 
 
@@ -283,10 +285,14 @@ class SabreSwapRouter:
             if distance_matrix is not None
             else coupling_map.distance_matrix()
         )
-        # Flat device structure consumed by the vectorized inner loop: CSR adjacency for
-        # candidate generation and a dense boolean matrix for executability checks.
-        self._adj_indptr, self._adj_indices = coupling_map.adjacency_arrays()
-        self._adj_matrix = coupling_map.adjacency_matrix()
+        # Device structure for the inner loop's scalar reads, as Python lists (indexing
+        # them beats indexing numpy arrays one element at a time): adjacency rows for
+        # executability checks and neighbour lists for candidate generation.
+        self._adjacent = coupling_map.adjacency_matrix().tolist()
+        indptr, indices = coupling_map.adjacency_arrays()
+        self._neighbors = [
+            indices[indptr[p]:indptr[p + 1]].tolist() for p in range(len(indptr) - 1)
+        ]
 
     # ------------------------------------------------------------------
     # Main loop
@@ -343,6 +349,7 @@ class SabreSwapRouter:
         last_swap: Optional[Tuple[int, int]] = None
         cached_extended: Optional[List[DAGNode]] = None
         cached_frontier_version = -1
+        front_state: Optional[Tuple[int, int]] = None
 
         while not frontier.is_done():
             if self._execute_ready_gates(frontier, layout, out):
@@ -353,15 +360,26 @@ class SabreSwapRouter:
             if frontier.is_done():
                 break
 
-            front_gates = [n for n in frontier.front if n.is_two_qubit()]
-            if not front_gates:
-                raise TranspilerError("routing stalled with no two-qubit gate in the front layer")
-            # The extended layer depends only on the frontier state, which is unchanged
-            # between consecutive SWAP insertions that execute no gate — reuse it then.
-            if frontier.version != cached_frontier_version:
-                cached_extended = frontier.lookahead(self.extended_set_size)
-                cached_frontier_version = frontier.version
-            extended = cached_extended
+            # The scoring tables depend only on the frontier state, which is unchanged
+            # between consecutive SWAP insertions that execute no gate — reuse them then.
+            # ``version`` moves on every resolve; between resolves the front can only
+            # grow (a lookahead spill may admit a gate with no predecessors), so the
+            # version and the front's size together pin the front.
+            state = (frontier.version, frontier.front_size)
+            if state != front_state:
+                front_state = state
+                front_gates = [n for n in frontier.front if n.is_two_qubit()]
+                if not front_gates:
+                    raise TranspilerError(
+                        "routing stalled with no two-qubit gate in the front layer"
+                    )
+                if frontier.version != cached_frontier_version:
+                    cached_extended = frontier.lookahead(self.extended_set_size)
+                    cached_frontier_version = frontier.version
+                extended = cached_extended
+                qubit_pairs = np.array(
+                    [node.qubits for node in front_gates + extended], dtype=np.intp
+                ).T
 
             if stall_counter >= stall_limit:
                 # Safety valve: march the first blocked gate together along a shortest path.
@@ -373,7 +391,9 @@ class SabreSwapRouter:
                 # Suspend around the score evaluation so an external driver may batch
                 # it across trials.
                 self._begin_scoring(candidates)
-                scores = yield ScoreRequest(self, candidates, front_gates, extended, layout)
+                scores = yield ScoreRequest(
+                    self, candidates, front_gates, extended, qubit_pairs, layout
+                )
                 swap = self._choose_swap(candidates, scores, rng)
 
             label = self._swap_label(swap)
@@ -428,7 +448,7 @@ class SabreSwapRouter:
             return True
         a, b = node.qubits
         l2p = layout.physical_array()
-        return bool(self._adj_matrix[l2p[a], l2p[b]])
+        return self._adjacent[l2p[a]][l2p[b]]
 
     def _emit(self, node: DAGNode, layout: Layout, out: StreamingOutput) -> None:
         l2p = layout.physical_array()
@@ -450,13 +470,12 @@ class SabreSwapRouter:
 
     def _swap_candidates(self, front_gates: List[DAGNode], layout: Layout) -> List[Tuple[int, int]]:
         l2p = layout.physical_array()
-        indptr, indices = self._adj_indptr, self._adj_indices
+        neighbors = self._neighbors
         candidates = set()
         for node in front_gates:
             for logical in node.qubits:
                 physical = int(l2p[logical])
-                for neighbor in indices[indptr[physical]:indptr[physical + 1]]:
-                    neighbor = int(neighbor)
+                for neighbor in neighbors[physical]:
                     if physical < neighbor:
                         candidates.add((physical, neighbor))
                     else:
@@ -491,31 +510,28 @@ class SabreSwapRouter:
         self,
         c0: np.ndarray,
         c1: np.ndarray,
-        nodes: List[DAGNode],
+        qubit_pairs: np.ndarray,
         layout: Layout,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(candidates x gates) tables of post-swap physical indices for ``nodes``.
+        """(candidates x gates) tables of post-swap physical indices.
 
-        Entry ``[s, g]`` of the pair is gate ``g``'s qubit pair after virtually
-        applying candidate swap ``s`` to the current layout — the index form the
-        scoring kernel gathers distances from, and what the ensemble engine stacks
-        across trials.
+        Column ``g`` belongs to the gate on logical qubits ``qubit_pairs[:, g]``.  Entry
+        ``[s, g]`` of the pair is that gate's qubit pair after virtually applying
+        candidate swap ``s`` to the current layout — the index form the scoring kernel
+        gathers distances from, and what the ensemble engine stacks across trials.
         """
-        l2p = layout.physical_array()
-        qubit_pairs = np.asarray([node.qubits for node in nodes], dtype=np.intp)
-        pa = l2p[qubit_pairs[:, 0]]  # (G,)
-        pb = l2p[qubit_pairs[:, 1]]
-        c0 = c0[:, None]  # (S, 1)
-        c1 = c1[:, None]
-        mapped_a = np.where(pa == c0, c1, np.where(pa == c1, c0, pa))  # (S, G)
-        mapped_b = np.where(pb == c0, c1, np.where(pb == c1, c0, pb))
-        return mapped_a, mapped_b
+        physical = layout.physical_array()[qubit_pairs]  # (2, G)
+        c0 = c0[:, None, None]  # (S, 1, 1)
+        c1 = c1[:, None, None]
+        mapped = np.where(physical == c0, c1, np.where(physical == c1, c0, physical))
+        return mapped[:, 0], mapped[:, 1]  # (S, G) each
 
     def _score_candidates(
         self,
         candidates: Sequence[Tuple[int, int]],
         front_gates: List[DAGNode],
         extended: List[DAGNode],
+        qubit_pairs: np.ndarray,
         layout: Layout,
     ) -> np.ndarray:
         """SABRE lookahead cost of every candidate in one vectorized evaluation.
@@ -524,9 +540,7 @@ class SabreSwapRouter:
         the candidate's hotter qubit.
         """
         c0, c1 = self._candidate_arrays(candidates)
-        mapped_a, mapped_b = self._mapped_index_arrays(
-            c0, c1, front_gates + extended, layout
-        )
+        mapped_a, mapped_b = self._mapped_index_arrays(c0, c1, qubit_pairs, layout)
         front_raw, ext_raw = front_ext_sums(
             self.distance, mapped_a, mapped_b, len(front_gates)
         )

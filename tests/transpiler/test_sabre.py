@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.circuit import QuantumCircuit, random_cx_circuit
+from repro.circuit.dag import StreamingDAG
+from repro.core.nassc import NASSCSwapRouter
 from repro.exceptions import TranspilerError
 from repro.hardware import grid_coupling_map, linear_coupling_map
 from repro.transpiler import PassManager, PropertySet
@@ -185,17 +187,21 @@ class TestNumpyKernel:
     """The shared (front, extended) distance-sum kernel behind candidate scoring."""
 
     def test_matches_scalar_reference(self):
+        # Both windows wider than numpy's 8-element pairwise-summation block (the
+        # extended set alone holds 20 gates), so a pairwise ``sum()`` would show up in
+        # the last bits.
         rng = np.random.default_rng(1)
         n = 7
         distance = np.ascontiguousarray(np.abs(rng.normal(size=(n, n))))
-        a, b = _random_tables(rng, n, rows=5, cols=6)
-        front, ext = front_ext_sums(distance, a, b, front_cols=4)
-        for row in range(5):
+        rows, cols, front_cols = 5, 32, 12
+        a, b = _random_tables(rng, n, rows=rows, cols=cols)
+        front, ext = front_ext_sums(distance, a, b, front_cols=front_cols)
+        for row in range(rows):
             want_front = 0.0
-            for col in range(4):
+            for col in range(front_cols):
                 want_front += distance[a[row, col], b[row, col]]
             want_ext = 0.0
-            for col in range(4, 6):
+            for col in range(front_cols, cols):
                 want_ext += distance[a[row, col], b[row, col]]
             assert front[row] == want_front
             assert ext[row] == want_ext
@@ -209,3 +215,54 @@ class TestNumpyKernel:
         front2, ext2 = front_ext_sums(distance, a, b, front_cols=0)
         assert np.all(front2 == 0.0)
         assert ext2.tobytes() == front.tobytes()
+
+
+class TestScoringTables:
+    """The per-frontier-state scoring tables follow the front even when it grows
+    without a version bump."""
+
+    @pytest.mark.parametrize(
+        "router_cls", [SabreSwapRouter, NASSCSwapRouter], ids=["sabre", "nassc"]
+    )
+    def test_requests_follow_a_front_grown_by_lookahead_spill(self, router_cls):
+        # A one-gate window: the lookahead spill admits cx(4, 7) — no predecessors, not
+        # executable — into the front while the router is still between resolves.
+        circuit = QuantumCircuit(8)
+        circuit.cx(0, 3)
+        circuit.cx(0, 3)
+        circuit.cx(4, 7)
+        for q in range(7):
+            circuit.cx(q, q + 1)
+        frontier = StreamingDAG(circuit.data, 8, window_gates=1)
+
+        def two_qubit_front():
+            return [node for node in frontier.front if node.is_two_qubit()]
+
+        # A step computes its front before the lookahead (which may grow the front); a
+        # step that runs no lookahead sees the front the previous step left behind.
+        seen = {}
+        lookahead = frontier.lookahead
+
+        def recording_lookahead(size, **kwargs):
+            seen["front"] = two_qubit_front()
+            return lookahead(size, **kwargs)
+
+        frontier.lookahead = recording_lookahead
+        steps = router_cls(linear_coupling_map(8), seed=0).route_steps(
+            frontier, Layout.trivial(8)
+        )
+        grown = 0
+        reply = None
+        while True:
+            try:
+                request = steps.send(reply)
+            except StopIteration:
+                break
+            assert request.front_gates == seen["front"]
+            pairs = [list(node.qubits) for node in request.front_gates + request.extended]
+            assert request.qubit_pairs.T.tolist() == pairs
+            if two_qubit_front() != seen["front"]:
+                grown += 1
+                seen["front"] = two_qubit_front()
+            reply = request.evaluate()
+        assert grown > 0
