@@ -28,12 +28,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuit.circuit import Instruction, expanded_gate_matrix
+from ..circuit.circuit import Instruction
 from ..circuit.gates import gate as make_gate
 from ..synthesis.two_qubit import cnot_count_from_coordinates, weyl_coordinates
 from ..transpiler.passes.basis import _ROUTABLE_2Q
 from ..transpiler.passes.commutation import gates_commute
 from ..transpiler.passes.swap_lowering import swap_orientation
+from ..transpiler.passes.unitary_synthesis import block_matrix
 
 _SWAP_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -167,19 +168,6 @@ class OptimizationEstimator:
         size = self._block_size(merged, p0, p1, max_gates)
         return sorted(merged.positions[:size])
 
-    @staticmethod
-    def _block_matrix(block: Sequence, p0: int, p1: int) -> np.ndarray:
-        """4x4 unitary of ``block`` (ops in circuit order, ``p0`` as local qubit 0).
-
-        The same product, in the same order, as ``QuantumCircuit.to_matrix()`` of the
-        block as a two-qubit circuit.
-        """
-        total = np.eye(4, dtype=complex)
-        for inst in block:
-            wires = tuple(0 if q == p0 else 1 for q in inst.qubits)
-            total = expanded_gate_matrix(inst.gate, wires, 2) @ total
-        return total
-
     def _cached_count(self, key: Tuple, matrix_fn) -> int:
         cache = self._count_cache
         count = cache.get(key)
@@ -214,14 +202,14 @@ class OptimizationEstimator:
         # signature (the common case on warm caches) the matrix is never materialised.
         materialised: List[np.ndarray] = []
 
-        def block_matrix() -> np.ndarray:
+        def matrix() -> np.ndarray:
             if not materialised:
-                materialised.append(self._block_matrix(block, p0, p1))
+                materialised.append(block_matrix(block, (p0, p1)))
             return materialised[0]
 
-        count_before = self._cached_count(("blk", signature), block_matrix)
+        count_before = self._cached_count(("blk", signature), matrix)
         count_after = self._cached_count(
-            ("blk+swap", signature), lambda: _SWAP_MATRIX @ block_matrix()
+            ("blk+swap", signature), lambda: _SWAP_MATRIX @ matrix()
         )
         reduction = 3 - (count_after - count_before)
         return int(max(0, min(3, reduction)))

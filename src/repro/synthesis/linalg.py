@@ -27,10 +27,30 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI_I = np.eye(2, dtype=complex)
 
 
-#: Default relative tolerance of :func:`numpy.allclose`.  Every scalar fast path that
-#: replicates an ``allclose`` predicate (here, ``optimize_1q``, ``commutation``) imports
-#: this single constant so the tolerance contract cannot silently diverge.
+#: Default relative tolerance of :func:`numpy.allclose`.  Every fast path that replicates
+#: an ``allclose`` predicate (here and in ``optimize_1q``) imports this single constant so
+#: the tolerance contract cannot silently diverge.
 ALLCLOSE_RTOL = 1.0e-5
+
+
+def allclose(a: np.ndarray, b, atol: float) -> bool:
+    """``np.allclose(a, b, atol=atol)`` without the argument dispatch that dominates on 4x4.
+
+    numpy's own ``isclose`` predicate, ``(|a - b| <= atol + rtol*|b|) & isfinite(b) |
+    (a == b)``, with the default ``rtol``, so every verdict is the one ``np.allclose``
+    gives.  ``a`` is an array; ``b`` an inexact array or a Python float.  numpy silences
+    the invalid-value warning that non-finite input raises; this does not.
+    """
+    return bool(((abs(a - b) <= atol + ALLCLOSE_RTOL * abs(b)) & np.isfinite(b) | (a == b)).all())
+
+
+def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 2x2 matrices, without its generic shape handling.
+
+    Every entry is the same single product ``a[i, j] * b[k, l]`` that ``np.kron`` forms,
+    broadcast the same way, so the result is bitwise equal.
+    """
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def is_unitary(matrix: np.ndarray, tol: float = 1e-9) -> bool:
@@ -54,8 +74,7 @@ def is_unitary(matrix: np.ndarray, tol: float = 1e-9) -> bool:
             and abs(p11 - 1.0) <= diag_tol
             and abs(p01) <= tol
         )
-    ident = np.eye(matrix.shape[0])
-    return bool(np.allclose(matrix @ matrix.conj().T, ident, atol=tol))
+    return allclose(matrix @ matrix.conj().T, np.eye(matrix.shape[0]), tol)
 
 
 def global_phase_between(target: np.ndarray, candidate: np.ndarray) -> Optional[float]:
@@ -114,23 +133,14 @@ def kron_factor_4x4(matrix: np.ndarray, tol: float = 1e-6) -> Tuple[complex, np.
     b_unit = b / norm_b
     g = complex(norm_a * norm_b)
     # Absorb any residual phase mismatch into g.
-    approx = g * np.kron(a_unit, b_unit)
-    phase = global_phase_between(matrix, approx)
+    product = kron2(a_unit, b_unit)
+    phase = global_phase_between(matrix, g * product)
     if phase is None:
         raise SynthesisError("tensor factorisation failed")
     g *= cmath.exp(1j * phase)
-    if not np.allclose(matrix, g * np.kron(a_unit, b_unit), atol=1e-6):
+    if not allclose(matrix, g * product, 1e-6):
         raise SynthesisError("tensor factorisation verification failed")
     return g, a_unit, b_unit
-
-
-def random_special_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random SU(dim) matrix (used only for numerical probing)."""
-    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(mat)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    det = np.linalg.det(q)
-    return q * det ** (-1.0 / dim)
 
 
 def fidelity_distance(a: np.ndarray, b: np.ndarray) -> float:

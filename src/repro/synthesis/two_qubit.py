@@ -22,8 +22,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,9 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    allclose,
     is_unitary,
+    kron2,
     kron_factor_4x4,
 )
 from .one_qubit import u_params_from_matrix
@@ -44,7 +46,6 @@ _B = MAGIC_BASIS
 _BD = MAGIC_BASIS.conj().T
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
-_ATOL = 1e-7
 _CLASS_ATOL = 1e-6
 
 # Diagonal representations of XX, YY, ZZ in the magic basis; the columns of _F.
@@ -52,7 +53,8 @@ _PAULI_PAIRS = [np.kron(PAULI_X, PAULI_X), np.kron(PAULI_Y, PAULI_Y), np.kron(PA
 _F = np.column_stack([np.real(np.diag(_BD @ pp @ _B)) for pp in _PAULI_PAIRS])
 _F_PINV = np.linalg.pinv(_F)
 
-_RNG = np.random.default_rng(20220521)
+#: Seed of the retry weights in :func:`_orthogonal_diagonalize`, fresh per call.
+_RETRY_SEED = 20220521
 
 
 def canonical_matrix(a: float, b: float, c: float) -> np.ndarray:
@@ -155,7 +157,8 @@ def cnot_count(unitary: np.ndarray, atol: float = _CLASS_ATOL) -> int:
 
 @dataclass
 class WeylDecomposition:
-    """``U = exp(i*phase) * kron(k1_q1, k1_q0) @ A(a,b,c) @ kron(k2_q1, k2_q0)``."""
+    """``U = exp(i*phase) * k1 @ A(a,b,c) @ k2`` with ``k1 = kron(k1_q1, k1_q0)`` and
+    ``k2 = kron(k2_q1, k2_q0)``, formed once at construction."""
 
     coords: Tuple[float, float, float]
     k1_q0: np.ndarray
@@ -163,14 +166,12 @@ class WeylDecomposition:
     k2_q0: np.ndarray
     k2_q1: np.ndarray
     phase: float
+    k1: np.ndarray = field(init=False, repr=False, compare=False)
+    k2: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def k1(self) -> np.ndarray:
-        return np.kron(self.k1_q1, self.k1_q0)
-
-    @property
-    def k2(self) -> np.ndarray:
-        return np.kron(self.k2_q1, self.k2_q0)
+    def __post_init__(self) -> None:
+        self.k1 = kron2(self.k1_q1, self.k1_q0)
+        self.k2 = kron2(self.k2_q1, self.k2_q0)
 
     def matrix(self) -> np.ndarray:
         return cmath.exp(1j * self.phase) * (
@@ -182,19 +183,27 @@ class WeylDecomposition:
 
 
 def _orthogonal_diagonalize(m2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Diagonalise a complex symmetric unitary ``M2 = P D P^T`` with real orthogonal ``P``."""
+    """Diagonalise a complex symmetric unitary ``M2 = P D P^T`` with real orthogonal ``P``.
+
+    Tries the real part, then the imaginary part, then random real combinations.  The
+    random weights come from a generator seeded afresh on every call, so ``P`` is a
+    function of ``M2`` alone, not of what ran earlier in the process.
+    """
+    rng = None
     for attempt in range(64):
         if attempt == 0:
             weights = (1.0, 0.0)
         elif attempt == 1:
             weights = (0.0, 1.0)
         else:
-            weights = tuple(_RNG.normal(size=2))
+            if rng is None:
+                rng = np.random.default_rng(_RETRY_SEED)
+            weights = tuple(rng.normal(size=2))
         combo = weights[0] * m2.real + weights[1] * m2.imag
         combo = (combo + combo.T) / 2.0
         _, p = np.linalg.eigh(combo)
         diag = p.T @ m2 @ p
-        if np.allclose(diag - np.diag(np.diag(diag)), 0.0, atol=1e-9):
+        if allclose(diag - np.diag(np.diag(diag)), 0.0, 1e-9):
             if np.linalg.det(p) < 0:
                 p = p.copy()
                 p[:, 0] = -p[:, 0]
@@ -203,7 +212,7 @@ def _orthogonal_diagonalize(m2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     raise SynthesisError("failed to orthogonally diagonalise M2")
 
 
-def weyl_decompose(unitary: np.ndarray, *, canonicalize: bool = True) -> WeylDecomposition:
+def weyl_decompose(unitary: np.ndarray) -> WeylDecomposition:
     """Full KAK/Weyl decomposition of a two-qubit unitary with explicit local factors."""
     unitary = np.asarray(unitary, dtype=complex)
     if unitary.shape != (4, 4) or not is_unitary(unitary, tol=1e-6):
@@ -230,11 +239,10 @@ def weyl_decompose(unitary: np.ndarray, *, canonicalize: bool = True) -> WeylDec
     # Sanity: reconstruct before canonicalisation.
     a_mat = _B @ ap @ _BD
     recon = cmath.exp(1j * phase) * (k1 @ a_mat @ k2)
-    if not np.allclose(recon, unitary, atol=1e-6):
+    if not allclose(recon, unitary, 1e-6):
         raise SynthesisError("KAK decomposition failed verification")
 
-    if canonicalize:
-        k1, k2, coords, phase = _canonicalize_decomposition(k1, k2, coords, phase)
+    k1, k2, coords, phase = _canonicalize_decomposition(k1, k2, coords, phase)
 
     g1, k1_q1, k1_q0 = kron_factor_4x4(k1)
     g2, k2_q1, k2_q0 = kron_factor_4x4(k2)
@@ -248,7 +256,7 @@ def weyl_decompose(unitary: np.ndarray, *, canonicalize: bool = True) -> WeylDec
         k2_q1=k2_q1,
         phase=float(phase),
     )
-    if not np.allclose(decomposition.matrix(), unitary, atol=1e-6):
+    if not allclose(decomposition.matrix(), unitary, 1e-6):
         raise SynthesisError("canonicalised KAK decomposition failed verification")
     return decomposition
 
@@ -285,7 +293,7 @@ def _canonicalize_decomposition(
         coords[index] = max(remainder, 0.0) if abs(remainder) < 1e-12 else remainder
         pauli = paulis[index]
         if k % 2 == 1:
-            local = np.kron(pauli, pauli)
+            local = kron2(pauli, pauli)
             nonlocal_update(local, None)
         phase += k * _HALF_PI  # exp(i*k*pi/2 * PP) = (i)^k (PP)^k contributes to the phase
 
@@ -303,19 +311,20 @@ def _canonicalize_decomposition(
             conj = _SINGLE_QUBIT_CLIFFORDS["s"]
             conj_dg = _SINGLE_QUBIT_CLIFFORDS["sdg"]
             # A(a,b,c) = (Sdg x Sdg) A(b,a,c) (S x S)
-            k1 = k1 @ np.kron(conj_dg, conj_dg)
-            k2 = np.kron(conj, conj) @ k2
+            k1 = k1 @ kron2(conj_dg, conj_dg)
+            k2 = kron2(conj, conj) @ k2
         elif {i, j} == {1, 2}:
             v = _SINGLE_QUBIT_CLIFFORDS["rx+"]
             v_dg = _SINGLE_QUBIT_CLIFFORDS["rx-"]
             # A(a,b,c) = (V x V) A(a,c,b) (Vdg x Vdg)
-            k1 = k1 @ np.kron(v, v)
-            k2 = np.kron(v_dg, v_dg) @ k2
+            k1 = k1 @ kron2(v, v)
+            k2 = kron2(v_dg, v_dg) @ k2
         elif {i, j} == {0, 2}:
             h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
             # A(a,b,c) = (H x H) A(c,b,a) (H x H)
-            k1 = k1 @ np.kron(h, h)
-            k2 = np.kron(h, h) @ k2
+            hh = kron2(h, h)
+            k1 = k1 @ hh
+            k2 = hh @ k2
         coords[i], coords[j] = coords[j], coords[i]
 
     def flip_pair(i: int, j: int) -> None:
@@ -323,7 +332,7 @@ def _canonicalize_decomposition(
         nonlocal k1, k2
         third = 3 - i - j
         pauli = paulis[third]
-        local = np.kron(np.eye(2, dtype=complex), pauli)
+        local = kron2(PAULI_I, pauli)
         k1 = k1 @ local
         k2 = local @ k2
         coords[i] = -coords[i]
@@ -359,11 +368,6 @@ def _canonicalize_decomposition(
 # Synthesis
 # ---------------------------------------------------------------------------
 
-_CX_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-)
-
-
 def _core_identity(coords: Tuple[float, float, float]) -> List[QuantumCircuit]:
     return [QuantumCircuit(2, name="core0")]
 
@@ -374,9 +378,9 @@ def _core_single_cx(coords: Tuple[float, float, float]) -> List[QuantumCircuit]:
     return [circ]
 
 
-def _core_two_cx(coords: Tuple[float, float, float]) -> List[QuantumCircuit]:
+def _core_two_cx(coords: Tuple[float, float, float]) -> Iterator[QuantumCircuit]:
+    # Built one at a time: the first of the eight nearly always matches.
     x, y, _ = coords
-    cores = []
     for first, second in ((x, y), (y, x)):
         for s1, s2 in itertools.product((-1.0, 1.0), repeat=2):
             circ = QuantumCircuit(2, name="core2")
@@ -384,8 +388,7 @@ def _core_two_cx(coords: Tuple[float, float, float]) -> List[QuantumCircuit]:
             circ.rx(s1 * 2.0 * first, 0)
             circ.rz(s2 * 2.0 * second, 1)
             circ.cx(0, 1)
-            cores.append(circ)
-    return cores
+            yield circ
 
 
 class _ThreeCXTemplate:
@@ -462,8 +465,11 @@ class _ThreeCXTemplate:
         return results
 
 
-def _core_fallback(coords: Tuple[float, float, float]) -> QuantumCircuit:
-    """Exact construction of ``A(x,y,z)`` with 4 CNOTs — always correct, used as a fallback."""
+def _core_fallback(coords: Tuple[float, float, float]) -> Iterator[QuantumCircuit]:
+    """Exact construction of ``A(x,y,z)`` with 4 CNOTs — always correct, used as a fallback.
+
+    A generator, so the circuit is built only when every candidate core failed.
+    """
     x, y, z = coords
     circ = QuantumCircuit(2, name="core_fallback")
     # exp(i(x XX + z ZZ)) = CX (Rx(-2x) on q0)(Rz(-2z) on q1) CX
@@ -479,7 +485,7 @@ def _core_fallback(coords: Tuple[float, float, float]) -> QuantumCircuit:
     circ.cx(0, 1)
     circ.s(0)
     circ.s(1)
-    return circ
+    yield circ
 
 
 @dataclass
@@ -492,32 +498,41 @@ class SynthesisResult:
     global_phase: float
 
 
+#: Op count of the shortest candidate core for each target CNOT count 0..3.  Every
+#: candidate core of count ``T`` holds ``T`` CNOTs, and a synthesised circuit holds at
+#: least its core, so this bounds the length of any optimal synthesis from below.
+SHORTEST_CORE_OPS = (0, 1, 4, 6)
+
+
 class TwoQubitSynthesizer:
     """Re-synthesise arbitrary two-qubit unitaries into CNOT + single-qubit gates."""
 
-    def __init__(self, atol: float = 1e-6) -> None:
-        self.atol = atol
-
     # -- public API ---------------------------------------------------------
 
-    def synthesize(self, unitary: np.ndarray) -> SynthesisResult:
-        """Return a two-qubit circuit implementing ``unitary`` up to global phase."""
+    def synthesize(
+        self, unitary: np.ndarray, decomposition: Optional[WeylDecomposition] = None
+    ) -> SynthesisResult:
+        """Return a two-qubit circuit implementing ``unitary`` up to global phase.
+
+        ``decomposition`` is ``weyl_decompose(unitary)``, for a caller that already has it.
+        """
         unitary = np.asarray(unitary, dtype=complex)
-        decomposition = weyl_decompose(unitary)
+        if decomposition is None:
+            decomposition = weyl_decompose(unitary)
         target_count = decomposition.cnot_count()
         coords = decomposition.coords
 
-        candidate_cores: List[QuantumCircuit] = []
         if target_count == 0:
-            candidate_cores.extend(_core_identity(coords))
+            candidate_cores = _core_identity(coords)
         elif target_count == 1:
-            candidate_cores.extend(_core_single_cx(coords))
+            candidate_cores = _core_single_cx(coords)
         elif target_count == 2:
-            candidate_cores.extend(_core_two_cx(coords))
+            candidate_cores = _core_two_cx(coords)
         else:
-            candidate_cores.extend(_ThreeCXTemplate.candidates(coords))
+            candidate_cores = _ThreeCXTemplate.candidates(coords)
 
-        for core in candidate_cores:
+        # The guaranteed fallback comes last: A(a,b,c) exactly, sandwiched with the locals.
+        for core in itertools.chain(candidate_cores, _core_fallback(coords)):
             built = self._assemble(unitary, core, decomposition)
             if built is not None:
                 return SynthesisResult(
@@ -526,47 +541,27 @@ class TwoQubitSynthesizer:
                     optimal=core.cx_count() == target_count,
                     global_phase=built[1],
                 )
-
-        # Guaranteed fallback: synthesise A(a,b,c) exactly and sandwich with the local factors.
-        fallback = _core_fallback(coords)
-        built = self._assemble(unitary, fallback, decomposition)
-        if built is None:
-            raise SynthesisError("two-qubit synthesis fallback failed verification")
-        return SynthesisResult(
-            circuit=built[0],
-            cnot_count=fallback.cx_count(),
-            optimal=fallback.cx_count() == target_count,
-            global_phase=built[1],
-        )
-
-    def cnot_cost(self, unitary: np.ndarray) -> int:
-        """Minimal CNOT count of a unitary (no circuit construction)."""
-        return cnot_count(unitary)
+        raise SynthesisError("two-qubit synthesis fallback failed verification")
 
     # -- internals ----------------------------------------------------------
 
     def _assemble(
-        self,
-        target: np.ndarray,
-        core: QuantumCircuit,
-        dec_target: Optional[WeylDecomposition] = None,
+        self, target: np.ndarray, core: QuantumCircuit, dec_target: WeylDecomposition
     ) -> Optional[Tuple[QuantumCircuit, float]]:
         """Wrap ``core`` with single-qubit locals so the result implements ``target``."""
         try:
             core_matrix = core.to_matrix()
-            if dec_target is None:
-                dec_target = weyl_decompose(target)
             dec_core = weyl_decompose(core_matrix)
         except SynthesisError:
             return None
-        if not np.allclose(dec_target.coords, dec_core.coords, atol=1e-5):
+        if not allclose(np.array(dec_target.coords), np.array(dec_core.coords), 1e-5):
             return None
 
         left = dec_target.k1 @ dec_core.k1.conj().T
         right = dec_core.k2.conj().T @ dec_target.k2
         phase = dec_target.phase - dec_core.phase
         candidate = cmath.exp(1j * phase) * (left @ core_matrix @ right)
-        if not np.allclose(candidate, target, atol=5e-6):
+        if not allclose(candidate, target, 5e-6):
             return None
 
         try:

@@ -23,7 +23,7 @@ from ...circuit.circuit import Instruction, QuantumCircuit, expanded_gate_matrix
 from ...circuit.dag import DAGCircuit, DAGNode
 from ...circuit.gates import Gate, gate as make_gate
 from ...obs.counters import COUNTERS
-from ...synthesis.linalg import ALLCLOSE_RTOL
+from ...synthesis.linalg import allclose
 from ..passmanager import AnalysisPass, PropertySet, TransformationPass
 
 _COMMUTE_CACHE: Dict[Tuple, bool] = {}
@@ -98,11 +98,7 @@ def gates_commute(inst_a, inst_b) -> bool:
     n = len(qubits)
     mat_a = expanded_gate_matrix(inst_a.gate, [index[q] for q in inst_a.qubits], n)
     mat_b = expanded_gate_matrix(inst_b.gate, [index[q] for q in inst_b.qubits], n)
-    ab = mat_a @ mat_b
-    ba = mat_b @ mat_a
-    # The exact np.allclose(ab, ba, atol=1e-9) predicate without the ufunc dispatch
-    # overhead of isclose (finite unitary products only ever reach this path).
-    result = bool((np.abs(ab - ba) <= 1e-9 + ALLCLOSE_RTOL * np.abs(ba)).all())
+    result = allclose(mat_a @ mat_b, mat_b @ mat_a, 1e-9)
     if cacheable and len(_COMMUTE_CACHE) < 100000:
         _COMMUTE_CACHE[key] = result
     return result

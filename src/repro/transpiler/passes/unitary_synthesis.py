@@ -4,26 +4,27 @@ combination, paper Sec. III and IV-D).
 Each collected two-qubit block is multiplied into a 4x4 unitary and re-synthesised with the
 KAK-based :class:`~repro.synthesis.two_qubit.TwoQubitSynthesizer`, which emits at most three
 CNOTs.  A block is only replaced when the re-synthesised form does not increase the CNOT
-count, so the pass never makes the circuit worse.
+count, so the pass never makes the circuit worse; when the block's target CNOT count
+already settles that, no template is assembled.
 
 The pass consumes the ``Collect2qBlocks`` analysis from the property set (recomputing it
 only when a previous transformation invalidated it) and rewrites blocks in place on the
-DAG.  Synthesis results are memoised by block *signature* (gate names, exact parameters and
-local wire pattern): inside the post-routing fixed-point loop most blocks reach the second
-iteration unchanged, and repeated KAK decompositions of identical blocks across invocations
-and circuits are served from the cache instead of being recomputed.
+DAG.  Outcomes are memoised by block *signature* (gate names, exact parameters and local
+wire pattern): inside the post-routing fixed-point loop most blocks reach the second
+iteration unchanged, and identical blocks across invocations and circuits are served from
+the cache instead of being decomposed again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...circuit.circuit import Instruction, QuantumCircuit
+from ...circuit.circuit import Instruction, QuantumCircuit, expanded_gate_matrix
 from ...circuit.dag import DAGCircuit, DAGNode
 from ...obs.counters import COUNTERS
-from ...synthesis.two_qubit import TwoQubitSynthesizer
+from ...synthesis.two_qubit import SHORTEST_CORE_OPS, TwoQubitSynthesizer, weyl_decompose
 from ..passmanager import PropertySet, TransformationPass
 from .collect_2q import Collect2qBlocks
 
@@ -32,30 +33,43 @@ _TWO_QUBIT_WEIGHT = {"cx": 1, "cz": 1, "cy": 1, "cp": 2, "cu1": 2, "crx": 2, "cr
                      "crz": 2, "rzz": 2, "rxx": 2, "ryy": 2, "iswap": 2, "dcx": 2,
                      "swap": 3, "ch": 2, "unitary": 3}
 
-#: Memoised synthesis results keyed by block signature: signature -> (ops template, cx
-#: count) where the template is a list of (Gate, local qubit tuple) pairs.  ``None`` marks
-#: an explicit-matrix block that cannot be signature-keyed.
-_SYNTH_CACHE: Dict[Tuple, Tuple[List[Tuple[object, Tuple[int, ...]]], int]] = {}
-_SYNTH_CACHE_LIMIT = 50000
+#: A block's replacement template (a list of (Gate, local qubit tuple) pairs), or ``None``
+#: to keep the block as written.
+_Template = Optional[List[Tuple[object, Tuple[int, ...]]]]
 
-# KAK-memo hit/miss telemetry (module ints, pulled by the registry on snapshot).
+#: Memoised outcomes keyed by block signature.  The outcome depends on the signature
+#: alone: the block's matrix, CNOT weight, CNOT-only form and length all follow from it.
+_SYNTH_CACHE: Dict[Tuple, _Template] = {}
+_SYNTH_CACHE_LIMIT = 50000
+_UNSEEN = object()
+
+# KAK-memo telemetry (module ints, pulled by the registry on snapshot).  ``decided_early``
+# counts the misses kept from the target CNOT count alone, without assembling a template.
 _SYNTH_HITS = 0
 _SYNTH_MISSES = 0
+_SYNTH_DECIDED_EARLY = 0
 
 COUNTERS.register_provider(
     "cache.kak_memo",
-    lambda: {"hits": _SYNTH_HITS, "misses": _SYNTH_MISSES, "size": len(_SYNTH_CACHE)},
+    lambda: {"hits": _SYNTH_HITS, "misses": _SYNTH_MISSES,
+             "decided_early": _SYNTH_DECIDED_EARLY, "size": len(_SYNTH_CACHE)},
 )
 
+_SYNTHESIZER = TwoQubitSynthesizer()
 
-def block_matrix(circuit: QuantumCircuit, positions: List[int], pair: Tuple[int, int]) -> np.ndarray:
-    """4x4 unitary of a block, expressed on the pair ``(q0, q1) -> (0, 1)``."""
-    local = QuantumCircuit(2)
-    mapping = {pair[0]: 0, pair[1]: 1}
-    for pos in positions:
-        inst = circuit.data[pos]
-        local.append(inst.gate.copy(), tuple(mapping[q] for q in inst.qubits))
-    return local.to_matrix()
+
+def block_matrix(ops: Sequence, pair: Tuple[int, int]) -> np.ndarray:
+    """4x4 unitary of ``ops`` (in circuit order, on the wires of ``pair`` -> (0, 1)).
+
+    ``ops`` are instructions or DAG nodes.  The same product, in the same order, as
+    ``QuantumCircuit.to_matrix()`` of the ops as a two-qubit circuit.
+    """
+    q0 = pair[0]
+    total = np.eye(4, dtype=complex)
+    for op in ops:
+        wires = tuple(0 if q == q0 else 1 for q in op.qubits)
+        total = expanded_gate_matrix(op.gate, wires, 2) @ total
+    return total
 
 
 def block_cx_weight(circuit: QuantumCircuit, positions: List[int]) -> int:
@@ -66,14 +80,6 @@ def block_cx_weight(circuit: QuantumCircuit, positions: List[int]) -> int:
         if len(inst.qubits) == 2:
             weight += _TWO_QUBIT_WEIGHT.get(inst.name, 3)
     return weight
-
-
-def _node_block_matrix(nodes: List[DAGNode], pair: Tuple[int, int]) -> np.ndarray:
-    local = QuantumCircuit(2)
-    mapping = {pair[0]: 0, pair[1]: 1}
-    for node in nodes:
-        local.append(node.gate.copy(), tuple(mapping[q] for q in node.qubits))
-    return local.to_matrix()
 
 
 def _block_signature(nodes: List[DAGNode], pair: Tuple[int, int]) -> Optional[Tuple]:
@@ -92,35 +98,47 @@ def _block_signature(nodes: List[DAGNode], pair: Tuple[int, int]) -> Optional[Tu
     return tuple(signature)
 
 
+def _keeps(block_len: int, old_weight: int, cx_only: bool, new_cx: int, new_len: int) -> bool:
+    """Keep a block over a synthesis (``new_cx`` CNOTs, ``new_len`` ops) that adds CNOTs, or
+    saves none while the block is already in CNOT form and no longer."""
+    return new_cx > old_weight or (new_cx == old_weight and cx_only and block_len <= new_len)
+
+
 class UnitarySynthesis(TransformationPass):
     """Re-synthesise every two-qubit block with at most three CNOTs."""
 
-    def __init__(self, min_block_size: int = 2, synthesizer: TwoQubitSynthesizer | None = None) -> None:
-        super().__init__()
-        self.min_block_size = min_block_size
-        # The shared signature cache holds default-synthesizer results only; a caller
-        # injecting a custom synthesizer must never be served someone else's templates.
-        self._use_shared_cache = synthesizer is None
-        self._synthesizer = synthesizer or TwoQubitSynthesizer()
+    @staticmethod
+    def _replacement(
+        nodes: List[DAGNode], pair: Tuple[int, int], old_weight: int, cx_only: bool
+    ) -> _Template:
+        """The block's replacement template, or ``None`` to keep it as written.
 
-    def _synthesize_block(
-        self, nodes: List[DAGNode], pair: Tuple[int, int]
-    ) -> Tuple[List[Tuple[object, Tuple[int, ...]]], int]:
-        """Synthesised ops template (gates on local wires 0/1) and its CNOT count."""
-        global _SYNTH_HITS, _SYNTH_MISSES
-        signature = _block_signature(nodes, pair) if self._use_shared_cache else None
-        if signature is not None and signature in _SYNTH_CACHE:
-            _SYNTH_HITS += 1
-            return _SYNTH_CACHE[signature]
+        A synthesis has the target count ``T`` of CNOTs (4 from the fallback) in at least
+        ``SHORTEST_CORE_OPS[T]`` ops; when even that best case is kept, none is assembled.
+        """
+        global _SYNTH_HITS, _SYNTH_MISSES, _SYNTH_DECIDED_EARLY
+        signature = _block_signature(nodes, pair)
         if signature is not None:
+            cached = _SYNTH_CACHE.get(signature, _UNSEEN)
+            if cached is not _UNSEEN:
+                _SYNTH_HITS += 1
+                return cached
             _SYNTH_MISSES += 1
-        matrix = _node_block_matrix(nodes, pair)
-        result = self._synthesizer.synthesize(matrix)
-        template = [(inst.gate, inst.qubits) for inst in result.circuit.data]
-        new_cx = result.circuit.cx_count()
+        matrix = block_matrix(nodes, pair)
+        decomposition = weyl_decompose(matrix)
+        target = decomposition.cnot_count()
+        template: _Template = None
+        if _keeps(len(nodes), old_weight, cx_only, target, SHORTEST_CORE_OPS[target]):
+            if signature is not None:
+                _SYNTH_DECIDED_EARLY += 1
+        else:
+            result = _SYNTHESIZER.synthesize(matrix, decomposition)
+            synthesized = [(inst.gate, inst.qubits) for inst in result.circuit.data]
+            if not _keeps(len(nodes), old_weight, cx_only, result.cnot_count, len(synthesized)):
+                template = synthesized
         if signature is not None and len(_SYNTH_CACHE) < _SYNTH_CACHE_LIMIT:
-            _SYNTH_CACHE[signature] = (template, new_cx)
-        return template, new_cx
+            _SYNTH_CACHE[signature] = template
+        return template
 
     def run(self, dag: DAGCircuit, property_set: PropertySet) -> DAGCircuit:
         if "block_list" not in property_set or "block_pairs" not in property_set:
@@ -131,19 +149,16 @@ class UnitarySynthesis(TransformationPass):
         for positions, pair in zip(blocks, pairs):
             nodes = [dag.node(nid) for nid in positions]
             two_qubit_nodes = [n for n in nodes if len(n.qubits) == 2]
-            if len(nodes) < self.min_block_size or not two_qubit_nodes:
+            if len(nodes) < 2 or not two_qubit_nodes:
                 continue
             old_weight = sum(
                 _TWO_QUBIT_WEIGHT.get(n.name, 3) for n in two_qubit_nodes
             )
-            has_non_cx = any(n.name != "cx" for n in two_qubit_nodes)
-            if old_weight <= 1 and not has_non_cx:
+            cx_only = all(n.name == "cx" for n in two_qubit_nodes)
+            if old_weight <= 1 and cx_only:
                 continue
-            template, new_cx = self._synthesize_block(nodes, pair)
-            if new_cx > old_weight:
-                continue
-            if new_cx == old_weight and not has_non_cx and len(nodes) <= len(template):
-                # No CNOT was saved and the block is already in CNOT form: keep the original.
+            template = self._replacement(nodes, pair, old_weight, cx_only)
+            if template is None:
                 continue
             mapped = [
                 Instruction(gate.copy(), tuple(pair[q] for q in qubits))

@@ -20,6 +20,7 @@ from repro.core.nassc import NASSCConfig
 from repro.synthesis.two_qubit import cnot_count_from_coordinates, weyl_coordinates
 from repro.transpiler.passes.commutation import gates_commute
 from repro.transpiler.passes.swap_lowering import swap_orientation
+from repro.transpiler.passes.unitary_synthesis import block_matrix
 
 
 def make_history(circuit):
@@ -363,7 +364,7 @@ class TestSinglePassMatchesReference:
             gate_obj = make_gate(op[0], *op[2:])
             local.append(gate_obj, op[1])
             ops.append(Instruction(gate_obj, tuple(pair[q] for q in op[1])))
-        got = OptimizationEstimator._block_matrix(ops, *pair)
+        got = block_matrix(ops, pair)
         assert np.array_equal(got, local.to_matrix())
 
     def test_long_prefix_reaches_both_scan_limits(self):

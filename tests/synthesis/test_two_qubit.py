@@ -19,12 +19,39 @@ from repro.synthesis import (
     weyl_coordinates,
     weyl_decompose,
 )
+from repro.synthesis.linalg import MAGIC_BASIS
+from repro.synthesis.two_qubit import (
+    SHORTEST_CORE_OPS,
+    _core_identity,
+    _core_single_cx,
+    _core_two_cx,
+    _ThreeCXTemplate,
+)
 
 QUARTER_PI = math.pi / 4
 
 
 def random_su4(seed: int) -> np.ndarray:
     return random_unitary(4, seed=seed)
+
+
+def exact(result):
+    """Everything a synthesis emits, bit for bit."""
+    ops = [
+        (inst.name, tuple(float(p).hex() for p in inst.gate.params), inst.qubits)
+        for inst in result.circuit.data
+    ]
+    return ops, float(result.global_phase).hex(), result.cnot_count, result.optimal
+
+
+def class_with_locals(coords, seed: int) -> np.ndarray:
+    """A unitary of Weyl class ``coords`` dressed in random single-qubit gates."""
+    rng = np.random.default_rng(seed)
+    before = np.kron(random_unitary(2, seed=rng.integers(1 << 30)),
+                     random_unitary(2, seed=rng.integers(1 << 30)))
+    after = np.kron(random_unitary(2, seed=rng.integers(1 << 30)),
+                    random_unitary(2, seed=rng.integers(1 << 30)))
+    return after @ canonical_matrix(*coords) @ before
 
 
 class TestWeylCoordinates:
@@ -261,3 +288,50 @@ class TestSynthesis:
         circuit = synthesize_two_qubit(matrix)
         assert allclose_up_to_global_phase(circuit.to_matrix(), matrix, 1e-5)
         assert circuit.cx_count() <= 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cls=st.sampled_from([
+            (0.0, 0.0, 0.0), (QUARTER_PI, 0.0, 0.0), (0.5, 0.2, 0.0), (QUARTER_PI, 0.3, 0.0),
+            (0.6, 0.4, 0.1), (QUARTER_PI, QUARTER_PI, QUARTER_PI),
+        ]),
+        seed=st.integers(0, 10_000),
+        haar=st.booleans(),
+    )
+    def test_given_decomposition_is_bitwise_the_same_synthesis(self, cls, seed, haar):
+        matrix = random_su4(seed) if haar else class_with_locals(cls, seed)
+        synthesizer = TwoQubitSynthesizer()
+        assert exact(synthesizer.synthesize(matrix, weyl_decompose(matrix))) == exact(
+            synthesizer.synthesize(matrix)
+        )
+
+    def test_retry_weights_do_not_depend_on_earlier_calls(self):
+        # M2 = O^T D O with D = (e^ia, e^-ia, -e^ia, -e^-ia): the real and the imaginary
+        # part of M2 both have doubly degenerate spectra, so the first two attempts of the
+        # orthogonal diagonalisation fail and random weights pick the eigenbasis.  Those
+        # weights must not come from a process-wide generator.
+        a = 0.37
+        d = np.array([np.exp(1j * a), np.exp(-1j * a), -np.exp(1j * a), -np.exp(-1j * a)])
+        o, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(4, 4)))
+        if np.linalg.det(o) < 0:
+            o[:, 0] = -o[:, 0]
+        unitary = MAGIC_BASIS @ np.diag(np.sqrt(d)) @ o @ MAGIC_BASIS.conj().T
+        assert np.allclose(weyl_coordinates(unitary), (QUARTER_PI, 0.6004, 0.0), atol=1e-4)
+        first = TwoQubitSynthesizer().synthesize(unitary)
+        second = TwoQubitSynthesizer().synthesize(unitary)
+        assert exact(first) == exact(second)
+        assert first.cnot_count == 2
+        assert allclose_up_to_global_phase(first.circuit.to_matrix(), unitary, 1e-6)
+
+    def test_shortest_core_ops_are_the_built_core_lengths(self):
+        coords = (0.6, 0.4, 0.1)
+        built = [
+            list(_core_identity(coords)),
+            list(_core_single_cx(coords)),
+            list(_core_two_cx(coords)),
+            list(_ThreeCXTemplate.candidates(coords)),
+        ]
+        for count, cores in enumerate(built):
+            assert cores
+            assert all(core.cx_count() == count for core in cores)
+            assert SHORTEST_CORE_OPS[count] == min(len(core.data) for core in cores)

@@ -1,12 +1,20 @@
 """Tests for two-qubit block collection and block re-synthesis."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.circuit import QuantumCircuit, random_circuit
+from repro.circuit.dag import DAGCircuit
+from repro.circuit.gates import gate as make_gate
+from repro.obs import COUNTERS
+from repro.synthesis import TwoQubitSynthesizer
 from repro.transpiler import PassManager, PropertySet
 from repro.transpiler.passes import Collect2qBlocks, UnitarySynthesis, block_cx_weight, block_matrix
+from repro.transpiler.passes import unitary_synthesis
 
 from ..conftest import assert_unitary_equiv
 
@@ -76,7 +84,7 @@ class TestCollect2qBlocks:
         props = collect(circuit)
         positions = props["block_list"][0]
         assert block_cx_weight(circuit, positions) == 4  # cx (1) + swap (3)
-        matrix = block_matrix(circuit, positions, (0, 1))
+        matrix = block_matrix([circuit.data[p] for p in positions], (0, 1))
         assert matrix.shape == (4, 4)
 
 
@@ -163,3 +171,102 @@ class TestUnitarySynthesis:
         circuit = random_circuit(4, 7, seed=seed)
         optimized = self.run_pass(circuit)
         assert_unitary_equiv(circuit, optimized)
+
+
+ONE_QUBIT_OPS = st.one_of(
+    st.tuples(st.sampled_from(["h", "t", "sx", "x"]), st.sampled_from([(0,), (1,)])),
+    st.tuples(st.sampled_from(["rz", "ry"]), st.sampled_from([(0,), (1,)]),
+              st.sampled_from([0.4, -1.1, math.pi / 2])),
+)
+CX_OPS = st.tuples(st.just("cx"), st.sampled_from([(0, 1), (1, 0)]))
+NON_CX_OPS = st.tuples(st.sampled_from(["swap", "cz"]), st.sampled_from([(0, 1), (1, 0)]))
+ROTATION_OPS = st.tuples(st.sampled_from(["rz", "ry"]), st.sampled_from([(0,), (1,)]),
+                         st.sampled_from([0.4, -1.1, 0.7]))
+# Two or three CNOTs among generic rotations: the target count usually equals the CNOT
+# count, so these reach the keep-before-assembly rule on both sides of its length bound.
+CNOT_FORM = st.tuples(
+    st.lists(CX_OPS, min_size=2, max_size=3), st.lists(ROTATION_OPS, max_size=5)
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+# Lengths reach past the 0/1/4/6 op counts of the shortest synthesis cores.
+BLOCKS = st.one_of(
+    CNOT_FORM,
+    st.lists(st.one_of(ONE_QUBIT_OPS, CX_OPS), min_size=2, max_size=9),
+    st.lists(st.one_of(ONE_QUBIT_OPS, CX_OPS, NON_CX_OPS), min_size=2, max_size=9),
+)
+
+
+def reference_replacement(nodes, pair):
+    """The keep/replace rule applied to a full synthesis: synthesise, then decide."""
+    local = QuantumCircuit(2)
+    for node in nodes:
+        local.append(node.gate, tuple(0 if q == pair[0] else 1 for q in node.qubits))
+    result = TwoQubitSynthesizer().synthesize(local.to_matrix())
+    template = [(inst.gate, inst.qubits) for inst in result.circuit.data]
+    two_qubit = [n for n in nodes if len(n.qubits) == 2]
+    old_weight = sum(unitary_synthesis._TWO_QUBIT_WEIGHT.get(n.name, 3) for n in two_qubit)
+    has_non_cx = any(n.name != "cx" for n in two_qubit)
+    new_cx = result.circuit.cx_count()
+    if new_cx > old_weight:
+        return None
+    if new_cx == old_weight and not has_non_cx and len(nodes) <= len(template):
+        return None
+    return template
+
+
+def exact_template(template):
+    if template is None:
+        return None
+    return [(g.name, tuple(float(p).hex() for p in g.params), q) for g, q in template]
+
+
+class TestEarlyDecision:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=BLOCKS)
+    @example(ops=[("cx", (0, 1)), ("h", (0,)), ("cx", (0, 1))])
+    @example(ops=[("cx", (0, 1)), ("rz", (0,), 0.4), ("cx", (1, 0)), ("ry", (1,), -1.1),
+                  ("cx", (0, 1))])
+    @example(ops=[("cx", (0, 1)), ("rz", (0,), 0.4), ("cx", (1, 0)), ("ry", (1,), -1.1),
+                  ("cx", (0, 1)), ("h", (0,)), ("t", (1,))])
+    @example(ops=[("cx", (0, 1)), ("cx", (0, 1))])
+    @example(ops=[("swap", (0, 1)), ("h", (1,))])
+    @example(ops=[("cx", (0, 1)), ("swap", (0, 1))])
+    def test_outcome_matches_synthesise_then_decide(self, ops):
+        assume(any(len(op[1]) == 2 for op in ops))
+        circuit = QuantumCircuit(2)
+        for name, qubits, *params in ops:
+            circuit.append(make_gate(name, *params), qubits)
+        dag = DAGCircuit.from_circuit(circuit)
+        props = collect(circuit)
+        (positions,), (pair,) = props["block_list"], props["block_pairs"]
+        nodes = [dag.node(nid) for nid in positions]
+        two_qubit = [n for n in nodes if len(n.qubits) == 2]
+        old_weight = sum(unitary_synthesis._TWO_QUBIT_WEIGHT.get(n.name, 3) for n in two_qubit)
+        cx_only = all(n.name == "cx" for n in two_qubit)
+        assume(not (old_weight <= 1 and cx_only))  # the pass skips these blocks outright
+
+        expected = exact_template(reference_replacement(nodes, pair))
+        with mock.patch.dict(unitary_synthesis._SYNTH_CACHE, clear=True):
+            decided = UnitarySynthesis._replacement(nodes, pair, old_weight, cx_only)
+            memoised = UnitarySynthesis._replacement(nodes, pair, old_weight, cx_only)
+        assert exact_template(decided) == expected
+        assert exact_template(memoised) == expected
+
+    def test_early_keeps_are_counted_as_misses(self):
+        # Three CNOTs and three rotations: class 3, old weight 3, six ops -- kept
+        # without assembling a template.
+        circuit = QuantumCircuit(2)
+        circuit.cx(0, 1)
+        circuit.rz(0.4, 0)
+        circuit.ry(-1.1, 1)
+        circuit.cx(1, 0)
+        circuit.ry(0.7, 0)
+        circuit.cx(0, 1)
+        with mock.patch.dict(unitary_synthesis._SYNTH_CACHE, clear=True), \
+                mock.patch.object(TwoQubitSynthesizer, "synthesize", side_effect=AssertionError):
+            before = COUNTERS.snapshot()
+            optimized = PassManager([UnitarySynthesis()]).run(circuit)
+            after = COUNTERS.snapshot()
+        assert [inst.name for inst in optimized.data] == [inst.name for inst in circuit.data]
+        for key, delta in (("misses", 1), ("decided_early", 1), ("hits", 0)):
+            name = f"cache.kak_memo.{key}"
+            assert after[name] - before[name] == delta, key
