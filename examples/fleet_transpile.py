@@ -25,9 +25,8 @@ import time
 from repro import ReproClient, Target, TranspileOptions, qasm, transpile
 from repro.benchlib import table_benchmarks
 from repro.fleet import FleetCoordinator, FleetWorkerServer
-from repro.server import parse_metric
+from repro.obs import iter_samples, parse_metric
 from repro.server.http import ThreadedServer
-from repro.server.metrics import iter_samples
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 

@@ -19,7 +19,8 @@ import os
 
 from repro import ReproClient, Target, TranspileJob, TranspileOptions, qasm, transpile
 from repro.benchlib import table_benchmarks
-from repro.server import ReproServer, parse_metric
+from repro.obs import parse_metric
+from repro.server import ReproServer
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 

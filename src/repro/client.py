@@ -421,7 +421,7 @@ class ReproClient:
         return self._request("GET", "/v1/methods")
 
     def metrics_text(self) -> str:
-        """The raw Prometheus text page (parse with ``repro.server.parse_metric``)."""
+        """The raw Prometheus text page (parse with ``repro.obs.parse_metric``)."""
         status, body, _headers = self._raw_request_with_retries("GET", "/metrics")
         if status != 200:
             raise ServerError(f"GET /metrics returned HTTP {status}", status=status)

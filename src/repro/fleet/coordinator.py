@@ -123,7 +123,7 @@ class FleetCoordinator(AsyncHTTPServer):
         self.heartbeat_ttl = (
             heartbeat_ttl if heartbeat_ttl is not None else heartbeat_interval * 4.0
         )
-        self.metrics = FleetMetrics()
+        self.metrics = FleetMetrics(self._node_rows)
         self.ring = HashRing(vnodes=vnodes)
         self.nodes: Dict[str, NodeState] = {}
         self.placements: "OrderedDict[str, Placement]" = OrderedDict()
@@ -135,7 +135,6 @@ class FleetCoordinator(AsyncHTTPServer):
             ("POST", "/fleet/v1/deregister", self._handle_deregister),
             ("GET", "/fleet/v1/nodes", self._handle_nodes),
             ("GET", "/healthz", self._handle_healthz),
-            ("GET", "/metrics", self._handle_metrics),
             ("GET", "/v1/methods", self._handle_methods),
             ("GET", "/v1/targets", self._handle_targets),
             ("POST", "/v1/jobs", self._handle_submit),
@@ -163,9 +162,6 @@ class FleetCoordinator(AsyncHTTPServer):
             except asyncio.CancelledError:
                 pass
             self._reaper = None
-
-    def _observe_request(self, pattern: str, code: str) -> None:
-        self.metrics.requests.inc(route=pattern, code=code)
 
     async def _reap_loop(self) -> None:
         """Evict ring membership of nodes whose heartbeats went stale."""
@@ -244,8 +240,15 @@ class FleetCoordinator(AsyncHTTPServer):
             writer, 200, {"node_id": node_id, "removed": node is not None}
         )
 
-    async def _handle_nodes(self, request: Request, writer: asyncio.StreamWriter) -> None:
+    def _node_rows(self) -> List[Dict]:
+        """The node table, sorted by node id (``/fleet/v1/nodes`` and the gauges)."""
         now = time.time()
+        return [
+            node.to_dict(now, self.heartbeat_ttl)
+            for node in sorted(self.nodes.values(), key=lambda n: n.node_id)
+        ]
+
+    async def _handle_nodes(self, request: Request, writer: asyncio.StreamWriter) -> None:
         await self._write_json(
             writer,
             200,
@@ -254,10 +257,7 @@ class FleetCoordinator(AsyncHTTPServer):
                 "heartbeat_interval": self.heartbeat_interval,
                 "heartbeat_ttl": self.heartbeat_ttl,
                 "vnodes": self.ring.vnodes,
-                "nodes": [
-                    node.to_dict(now, self.heartbeat_ttl)
-                    for node in sorted(self.nodes.values(), key=lambda n: n.node_id)
-                ],
+                "nodes": self._node_rows(),
             },
         )
 
@@ -599,18 +599,6 @@ class FleetCoordinator(AsyncHTTPServer):
 
     async def _handle_healthz(self, request: Request, writer: asyncio.StreamWriter) -> None:
         await self._write_json(writer, 200, self.health_payload())
-
-    async def _handle_metrics(self, request: Request, writer: asyncio.StreamWriter) -> None:
-        now = time.time()
-        text = self.metrics.render(
-            nodes=[
-                node.to_dict(now, self.heartbeat_ttl)
-                for node in sorted(self.nodes.values(), key=lambda n: n.node_id)
-            ]
-        )
-        await self._write_response(
-            writer, 200, text.encode("utf-8"), content_type="text/plain; version=0.0.4"
-        )
 
     async def _handle_methods(self, request: Request, writer: asyncio.StreamWriter) -> None:
         await self._write_json(writer, 200, methods_payload())

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import asyncio
 import os
+import sys
 from typing import Optional
 
+from ..obs.counters import COUNTERS
 from ..server.app import ReproServer
 from . import httpclient
 from .httpclient import FetchError
@@ -151,12 +153,22 @@ class FleetWorkerServer(ReproServer):
             return
         self.registered = False
         try:
-            await httpclient.fetch_json(
+            status, _headers, _data = await httpclient.fetch_json(
                 self.coordinator_url, "POST", "/fleet/v1/deregister",
                 payload={"node_id": self.node_id}, timeout=5.0,
             )
-        except FetchError:
-            pass  # best-effort: the reaper will evict us by heartbeat staleness
+            error = None if status == 200 else f"HTTP {status}"
+        except FetchError as exc:
+            error = str(exc)
+        if error is not None:
+            # The coordinator evicts this node only once its heartbeat goes stale.
+            COUNTERS.inc("fleet.deregister_errors")
+            print(
+                f"warning: node {self.node_id} failed to deregister from "
+                f"{self.coordinator_url} ({error}); the coordinator keeps it until "
+                f"its heartbeat TTL expires",
+                file=sys.stderr,
+            )
 
     # -- identity in health/metrics -------------------------------------------
 

@@ -1,16 +1,17 @@
 """Process-wide counter registry unifying the repo's hot-path cache/kernel stats.
 
 Before this module each cache kept private, mutually invisible numbers: the gate-matrix
-and simulator-tensor ``lru_cache`` decorators hide theirs behind ``cache_info()``, the
-commutation and synthesis caches kept none, and ``ResultCache`` had its own
-``CacheStats``.  :data:`COUNTERS` is the single sink: hot paths call
-:meth:`CounterRegistry.inc` (a dict update — no locks, telemetry-grade accuracy is
-enough under free-threading races), and caches whose stats live elsewhere register a
-*provider* callback merged in at :meth:`CounterRegistry.snapshot` time.
+and simulator-tensor ``lru_cache`` decorators hide theirs behind ``cache_info()``, and
+the commutation and synthesis caches kept none.  :data:`COUNTERS` is the single sink:
+hot paths call :meth:`CounterRegistry.inc` (a dict update — no locks, telemetry-grade
+accuracy is enough under free-threading races), and caches whose stats live elsewhere
+register a *provider* callback merged in at :meth:`CounterRegistry.snapshot` time.  The
+exception is the per-instance ``ResultCache``: its ``CacheStats`` are served as the
+``repro_cache_*`` gauges and are not copied here.
 
 Naming convention: dotted lowercase paths, ``<subsystem>.<cache-or-kernel>.<event>`` —
 e.g. ``cache.commutation.hits``, ``routing.sabre.swap_candidates_scored``.  The
-Prometheus bridge in ``server/metrics.py`` re-exposes every snapshot entry as
+Prometheus bridge in :mod:`repro.obs.metrics` re-exposes every snapshot entry as
 ``repro_obs_counter{name="..."}``.
 """
 
@@ -37,8 +38,8 @@ class CounterRegistry:
     def register_provider(self, prefix: str, fn: Callable[[], Dict[str, int]]) -> None:
         """Register a callback whose values appear in snapshots under ``prefix.*``.
 
-        Used by caches that already track their own stats (``functools.lru_cache``,
-        ``ResultCache``): rather than double-counting on the hot path, the registry
+        Used by caches that already track their own stats (``functools.lru_cache``):
+        rather than double-counting on the hot path, the registry
         pulls their numbers when a snapshot is taken.  Re-registering a prefix replaces
         the previous provider (idempotent module reloads).
         """

@@ -13,14 +13,15 @@ worker entry point — into an *online* service that concurrent clients hit over
   fingerprint, and cancellation.
 * :class:`JobRunner` (:mod:`repro.server.runner`) — dispatches queued jobs onto a
   process pool off the event loop, sharing one result cache with the batch CLI.
-* :class:`ServerMetrics` (:mod:`repro.server.metrics`) — dependency-free Prometheus
-  text-format instrumentation.
+* :class:`ServerMetrics` (:mod:`repro.server.metrics`) — the server's instruments and
+  live-state gauges, declared on a :class:`repro.obs.metrics.Registry` (the one
+  Prometheus renderer; read pages back with :func:`repro.obs.parse_metric`).
 
 Start it with ``python -m repro serve`` and talk to it with :mod:`repro.client`.
 """
 
 from .app import HTTPError, ReproServer, ThreadedServer
-from .metrics import ServerMetrics, parse_metric
+from .metrics import ServerMetrics
 from .queue import (
     CANCELLED,
     DONE,
@@ -47,5 +48,4 @@ __all__ = [
     "ReproServer",
     "ServerMetrics",
     "ThreadedServer",
-    "parse_metric",
 ]

@@ -49,7 +49,6 @@ from ..schedule.modes import SCHEDULE_MODES
 from ..exceptions import ReproError
 from ..hardware.target import Target
 from ..hardware.topologies import TOPOLOGY_CATALOG
-from ..obs.counters import COUNTERS
 from ..obs.tracer import parse_traceparent
 from ..service.cache import ResultCache
 from ..service.jobs import TranspileJob
@@ -102,20 +101,19 @@ class ReproServer(AsyncHTTPServer):
         super().__init__(host, port)
         self.cache = cache if cache is not None else ResultCache(directory=cache_dir)
         self.queue = JobQueue(max_pending=queue_bound, history_limit=history_limit)
-        self.metrics = ServerMetrics()
+        self.metrics = ServerMetrics(self.queue, self.cache)
         self.runner = JobRunner(
             self.queue,
             self.cache,
+            self.metrics,
             concurrency=concurrency,
             max_workers=max_workers,
             use_processes=use_processes,
-            metrics=self.metrics,
             ensemble_fanout_threshold=ensemble_fanout_threshold,
         )
         self.started_at = time.time()
         self._routes += [
             ("GET", "/healthz", self._handle_healthz),
-            ("GET", "/metrics", self._handle_metrics),
             ("GET", "/v1/methods", self._handle_methods),
             ("GET", "/v1/targets", self._handle_targets),
             ("POST", "/v1/jobs", self._handle_submit),
@@ -136,9 +134,6 @@ class ReproServer(AsyncHTTPServer):
 
     async def _on_stop(self, *, drain: bool, timeout: float) -> None:
         await self.runner.stop(drain=drain, timeout=timeout)
-
-    def _observe_request(self, pattern: str, code: str) -> None:
-        self.metrics.requests.inc(route=pattern, code=code)
 
     # -- job construction -----------------------------------------------------
 
@@ -489,20 +484,6 @@ class ReproServer(AsyncHTTPServer):
 
     async def _handle_healthz(self, request: Request, writer: asyncio.StreamWriter) -> None:
         await self._write_json(writer, 200, self.health_payload())
-
-    async def _handle_metrics(self, request: Request, writer: asyncio.StreamWriter) -> None:
-        # Obs counters are per-process: with a process pool the workers' transpiler-side
-        # counters live in the pool, so this snapshot mostly reflects the server process
-        # (thread pools surface everything).  The ResultCache counters always show here.
-        text = self.metrics.render(
-            queue_depth=self.queue.pending_count(),
-            in_flight=self.queue.in_flight,
-            cache_stats=self.cache.stats.to_dict(),
-            obs_counters=COUNTERS.snapshot(),
-        )
-        await self._write_response(
-            writer, 200, text.encode("utf-8"), content_type="text/plain; version=0.0.4"
-        )
 
     async def _handle_methods(self, request: Request, writer: asyncio.StreamWriter) -> None:
         await self._write_json(writer, 200, methods_payload())

@@ -7,8 +7,9 @@ fleet coordinator (:class:`repro.fleet.coordinator.FleetCoordinator`):
 
 * :class:`Request` / :class:`HTTPError` — parsed requests and structured JSON errors.
 * :class:`AsyncHTTPServer` — connection handling, request parsing with body bounds,
-  ``{param}``-pattern routing with 404/405 semantics, JSON/raw response writing, and a
-  graceful start/stop lifecycle with ``_on_start``/``_on_stop`` hooks for subclasses.
+  ``{param}``-pattern routing with 404/405 semantics, JSON/raw response writing, the
+  ``GET /metrics`` page with per-route request counts, and a graceful start/stop
+  lifecycle with ``_on_start``/``_on_stop`` hooks for subclasses.
 * :class:`ThreadedServer` — the embedded-server harness: any :class:`AsyncHTTPServer`
   running in a dedicated background event-loop thread (used by tests, benchmarks and
   the examples so synchronous callers never own an event loop).
@@ -24,6 +25,7 @@ from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__
+from ..obs.metrics import Registry
 
 #: Upper bound on request bodies (a batch of large QASM circuits fits comfortably).
 MAX_BODY_BYTES = 16 * 1024 * 1024
@@ -77,11 +79,14 @@ class Request:
 class AsyncHTTPServer:
     """Dependency-free asyncio HTTP/1.1 server base with pattern routing.
 
-    Subclasses register ``(method, pattern, handler)`` routes (patterns may contain
-    ``{param}`` segments, captured as keyword arguments) and may override
-    :meth:`_on_start` / :meth:`_on_stop` to manage background tasks beside the
-    listener, and :meth:`_observe_request` to feed their metrics.
+    Subclasses set ``self.metrics`` to a :class:`~repro.obs.metrics.Registry` that
+    declares a ``requests`` counter (served at ``GET /metrics``), register
+    ``(method, pattern, handler)`` routes (patterns may contain ``{param}`` segments,
+    captured as keyword arguments), and may override :meth:`_on_start` /
+    :meth:`_on_stop` to manage background tasks beside the listener.
     """
+
+    metrics: Registry
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8000) -> None:
         self.host = host
@@ -91,7 +96,9 @@ class AsyncHTTPServer:
         # Created inside start(): on Python 3.9 an asyncio.Event built outside a
         # running loop binds to the wrong loop.
         self._stopped: Optional[asyncio.Event] = None
-        self._routes: List[Tuple[str, str, Callable[..., Awaitable[None]]]] = []
+        self._routes: List[Tuple[str, str, Callable[..., Awaitable[None]]]] = [
+            ("GET", "/metrics", self._handle_metrics),
+        ]
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -233,7 +240,13 @@ class AsyncHTTPServer:
             raise
 
     def _observe_request(self, pattern: str, code: str) -> None:
-        """Hook for per-route request metrics (no-op by default)."""
+        self.metrics.requests.inc(route=pattern, code=code)
+
+    async def _handle_metrics(self, request: Request, writer: asyncio.StreamWriter) -> None:
+        text = self.metrics.render()
+        await self._write_response(
+            writer, 200, text.encode("utf-8"), content_type="text/plain; version=0.0.4"
+        )
 
     # -- response writing -----------------------------------------------------
 

@@ -1,339 +1,105 @@
-"""Prometheus-format metrics for the online transpilation server.
+"""The online transpilation server's instruments, declared on one :class:`Registry`.
 
-A deliberately tiny instrumentation layer (the container has no ``prometheus_client``):
-counters, gauges and cumulative histograms that render themselves in the Prometheus text
-exposition format (version 0.0.4).  The server exposes one :class:`ServerMetrics`
-instance at ``GET /metrics``; gauges that mirror live queue state (depth, in-flight) are
-read from the queue at render time rather than being kept in sync event by event.
-
-Everything here runs on the event loop thread, so no locking is needed; the cache stats
-it re-exports (:class:`repro.service.cache.CacheStats`) carry their own lock inside
-:class:`~repro.service.cache.ResultCache`.
+The server exposes one :class:`ServerMetrics` page at ``GET /metrics`` (rendered by
+:mod:`repro.obs.metrics`).  Gauges mirroring live state — queue depth, in-flight jobs,
+the result cache's :class:`~repro.service.cache.CacheStats` — are read from the queue
+and the cache at scrape time rather than being kept in sync event by event; the
+process-wide :data:`repro.obs.COUNTERS` follow through the registry's counter bridge.
+That bridge is per-process: with a process pool the workers' transpiler-side counters
+stay in the pool, so it mostly reflects the server process (thread pools surface
+everything).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Tuple
 
-#: Default latency buckets (seconds) — spans cache hits (~ms) to heavy circuits (minutes).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0,
-)
-
-
-def _fmt(value: float) -> str:
-    """Prometheus-friendly number formatting (integers without the trailing ``.0``)."""
-    if value == float("inf"):
-        return "+Inf"
-    as_int = int(value)
-    return str(as_int) if value == as_int else repr(float(value))
+from ..obs.metrics import Registry
+from ..service.cache import ResultCache
+from .queue import JobQueue
 
 
-def _escape_label_value(value: str) -> str:
-    """Escape a label value per the exposition format: ``\\`` , ``"`` and newline."""
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def _labels(labels: Optional[Dict[str, str]]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{key}="{_escape_label_value(value)}"' for key, value in sorted(labels.items())
-    )
-    return "{" + inner + "}"
-
-
-class Histogram:
-    """A cumulative histogram in the Prometheus style (``_bucket``/``_sum``/``_count``)."""
-
-    def __init__(
-        self, name: str, help_text: str, buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> None:
-        self.name = name
-        self.help_text = help_text
-        self.buckets = tuple(sorted(buckets))
-        self.counts = [0] * len(self.buckets)
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[index] += 1
-
-    def render(self) -> List[str]:
-        lines = [
-            f"# HELP {self.name} {self.help_text}",
-            f"# TYPE {self.name} histogram",
-        ]
-        cumulative = 0
-        for bound, bucket_count in zip(self.buckets, self.counts):
-            cumulative = bucket_count  # counts are already cumulative per observe()
-            lines.append(f'{self.name}_bucket{{le="{_fmt(bound)}"}} {cumulative}')
-        lines.append(f'{self.name}_bucket{{le="+Inf"}} {self.count}')
-        lines.append(f"{self.name}_sum {_fmt(self.total)}")
-        lines.append(f"{self.name}_count {self.count}")
-        return lines
-
-
-class LabeledHistogram:
-    """A family of :class:`Histogram` children keyed by one label value.
-
-    Used for per-pass latency (``repro_pass_seconds{pass="SabreRouting"}``): children are
-    created on first observation and render as one metric family.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        label: str,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        self.name = name
-        self.help_text = help_text
-        self.label = label
-        self.buckets = tuple(sorted(buckets))
-        self._children: Dict[str, Histogram] = {}
-
-    def observe(self, label_value: str, value: float) -> None:
-        child = self._children.get(label_value)
-        if child is None:
-            child = self._children[label_value] = Histogram(
-                self.name, self.help_text, self.buckets
-            )
-        child.observe(value)
-
-    def render(self) -> List[str]:
-        lines = [
-            f"# HELP {self.name} {self.help_text}",
-            f"# TYPE {self.name} histogram",
-        ]
-        for label_value in sorted(self._children):
-            child = self._children[label_value]
-            escaped = _escape_label_value(label_value)
-            for bound, bucket_count in zip(child.buckets, child.counts):
-                lines.append(
-                    f'{self.name}_bucket{{{self.label}="{escaped}",le="{_fmt(bound)}"}} '
-                    f"{bucket_count}"
-                )
-            lines.append(
-                f'{self.name}_bucket{{{self.label}="{escaped}",le="+Inf"}} {child.count}'
-            )
-            lines.append(
-                f'{self.name}_sum{{{self.label}="{escaped}"}} {_fmt(child.total)}'
-            )
-            lines.append(f'{self.name}_count{{{self.label}="{escaped}"}} {child.count}')
-        return lines
-
-
-class Counter:
-    """A monotonically increasing counter, optionally with one label dimension."""
-
-    def __init__(self, name: str, help_text: str) -> None:
-        self.name = name
-        self.help_text = help_text
-        self._values: Dict[Tuple[Tuple[str, str], ...], float] = {}
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = tuple(sorted(labels.items()))
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: str) -> float:
-        return self._values.get(tuple(sorted(labels.items())), 0.0)
-
-    def render(self) -> List[str]:
-        lines = [
-            f"# HELP {self.name} {self.help_text}",
-            f"# TYPE {self.name} counter",
-        ]
-        if not self._values:
-            lines.append(f"{self.name} 0")
-            return lines
-        for key in sorted(self._values):
-            lines.append(f"{self.name}{_labels(dict(key))} {_fmt(self._values[key])}")
-        return lines
-
-
-def gauge_lines(name: str, help_text: str, value: float) -> List[str]:
-    """Render one unlabelled gauge sample."""
-    return [
-        f"# HELP {name} {help_text}",
-        f"# TYPE {name} gauge",
-        f"{name} {_fmt(value)}",
-    ]
-
-
-class ServerMetrics:
+class ServerMetrics(Registry):
     """All server instrumentation, rendered as one Prometheus text page.
 
-    ``jobs_total`` counts terminal transitions by outcome label (``done`` / ``failed`` /
-    ``cancelled`` plus ``cached`` for cache-served completions); the latency histograms
-    split per stage: admission→start (queue wait), start→finish (run), and the
-    end-to-end submit→terminal wall time.
+    ``jobs_finished`` counts terminal transitions by outcome label (``done`` /
+    ``failed`` / ``cancelled`` plus ``cached`` for cache-served completions); the
+    latency histograms split per stage: admission→start (queue wait), start→finish
+    (run), and the end-to-end submit→terminal wall time.
     """
 
-    def __init__(self) -> None:
-        self.jobs_submitted = Counter(
+    def __init__(self, queue: JobQueue, cache: ResultCache) -> None:
+        super().__init__()
+        self.gauge(
+            "repro_queue_depth", "Jobs admitted and waiting to start", queue.pending_count
+        )
+        self.gauge("repro_jobs_in_flight", "Jobs currently executing", lambda: queue.in_flight)
+        self.jobs_submitted = self.counter(
             "repro_jobs_submitted_total", "Jobs accepted for execution"
         )
-        self.jobs_rejected = Counter(
+        self.jobs_rejected = self.counter(
             "repro_jobs_rejected_total", "Submissions rejected by admission control (HTTP 429)"
         )
-        self.jobs_deduplicated = Counter(
+        self.jobs_deduplicated = self.counter(
             "repro_jobs_deduplicated_total",
             "Submissions answered by an existing record with the same fingerprint",
         )
-        self.jobs_finished = Counter(
+        self.jobs_finished = self.counter(
             "repro_jobs_finished_total", "Jobs that reached a terminal state, by outcome"
         )
-        self.requests = Counter(
+        self.requests = self.counter(
             "repro_http_requests_total", "HTTP requests served, by route and status code"
         )
-        self.queue_wait = Histogram(
-            "repro_job_queue_wait_seconds", "Time from admission to execution start"
-        )
-        self.run_seconds = Histogram(
-            "repro_job_run_seconds", "Execution time of jobs that ran (cache misses)"
-        )
-        self.total_seconds = Histogram(
-            "repro_job_total_seconds", "End-to-end time from submission to terminal state"
-        )
-        # Same quantity as queue_wait under the series name the observability layer
-        # standardises on; kept alongside the historical name for dashboard continuity.
-        self.server_queue_wait = Histogram(
-            "repro_server_queue_wait_seconds",
-            "Time jobs spent queued before a worker picked them up",
-        )
-        self.pass_seconds = LabeledHistogram(
-            "repro_pass_seconds",
-            "Per-transpiler-pass wall time, labelled by pass name",
-            "pass",
-        )
-        self.ensemble_fanout = Counter(
+        self.ensemble_fanout = self.counter(
             "repro_ensemble_fanout_total",
             "Best-of-N jobs whose trials were fanned across the worker pool",
         )
-        self.ensemble_trials = Counter(
+        self.ensemble_trials = self.counter(
             "repro_ensemble_trials_total",
             "Ensemble routing trials executed on behalf of best-of-N jobs",
         )
-        self.peer_cache_requests = Counter(
+        self.peer_cache_requests = self.counter(
             "repro_peer_cache_requests_total",
             "Peer cache lookups served over GET /v1/cache, by outcome",
         )
-        self.schedule_duration = Histogram(
+        self.gauge(
+            "repro_cache_hit_rate",
+            "Result-cache hit rate since server start",
+            lambda: cache.stats.hit_rate,
+        )
+        # ``cache.stats`` is re-read per scrape: a fleet peer tier forwards it to its
+        # local cache.
+        for stat in ("hits", "disk_hits", "misses", "stores", "evictions"):
+            self.gauge(
+                f"repro_cache_{stat}",
+                f"Result-cache cumulative {stat.replace('_', ' ')}",
+                lambda stat=stat: getattr(cache.stats, stat),
+            )
+        self.queue_wait = self.histogram(
+            "repro_job_queue_wait_seconds", "Time from admission to execution start"
+        )
+        self.run_seconds = self.histogram(
+            "repro_job_run_seconds", "Execution time of jobs that ran (cache misses)"
+        )
+        self.total_seconds = self.histogram(
+            "repro_job_total_seconds", "End-to-end time from submission to terminal state"
+        )
+        self.schedule_duration = self.histogram(
             "repro_schedule_duration_seconds",
             "Critical-path duration of schedules produced by schedule-enabled jobs",
             # Schedule makespans are microseconds-to-milliseconds, far below the
             # default wall-clock buckets.
             buckets=(1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0),
         )
+        self.pass_seconds = self.histogram(
+            "repro_pass_seconds",
+            "Per-transpiler-pass wall time, labelled by pass name",
+            labelnames=("pass",),
+        )
+        self.bridge_counters()
 
     def observe_pass_timings(self, timing_log: Iterable[Tuple[str, float]]) -> None:
         """Feed one job's per-pass timing log into the per-pass latency histograms."""
         for name, elapsed in timing_log:
-            self.pass_seconds.observe(str(name), float(elapsed))
+            self.pass_seconds.observe(float(elapsed), **{"pass": str(name)})
 
-    def render(
-        self,
-        *,
-        queue_depth: int,
-        in_flight: int,
-        cache_stats: Dict,
-        obs_counters: Optional[Dict[str, int]] = None,
-    ) -> str:
-        lines: List[str] = []
-        lines += gauge_lines(
-            "repro_queue_depth", "Jobs admitted and waiting to start", queue_depth
-        )
-        lines += gauge_lines("repro_jobs_in_flight", "Jobs currently executing", in_flight)
-        for collector in (
-            self.jobs_submitted,
-            self.jobs_rejected,
-            self.jobs_deduplicated,
-            self.jobs_finished,
-            self.requests,
-            self.ensemble_fanout,
-            self.ensemble_trials,
-            self.peer_cache_requests,
-        ):
-            lines += collector.render()
-        lines += gauge_lines(
-            "repro_cache_hit_rate",
-            "Result-cache hit rate since server start",
-            float(cache_stats.get("hit_rate", 0.0)),
-        )
-        for stat in ("hits", "disk_hits", "misses", "stores", "evictions"):
-            lines += gauge_lines(
-                f"repro_cache_{stat}",
-                f"Result-cache cumulative {stat.replace('_', ' ')}",
-                float(cache_stats.get(stat, 0)),
-            )
-        for histogram in (
-            self.queue_wait,
-            self.server_queue_wait,
-            self.run_seconds,
-            self.total_seconds,
-            self.schedule_duration,
-        ):
-            lines += histogram.render()
-        lines += self.pass_seconds.render()
-        if obs_counters:
-            # Bridge from the process-wide obs CounterRegistry: one labelled family for
-            # the unified cache/kernel counters, plus derived hit-rate gauges per cache.
-            lines.append("# HELP repro_obs_counter Unified observability counters (repro.obs)")
-            lines.append("# TYPE repro_obs_counter counter")
-            for name in sorted(obs_counters):
-                lines.append(
-                    f"repro_obs_counter{_labels({'name': name})} {_fmt(obs_counters[name])}"
-                )
-            prefixes = sorted(
-                {
-                    name.rsplit(".", 1)[0]
-                    for name in obs_counters
-                    if name.endswith(".hits") or name.endswith(".misses")
-                }
-            )
-            if prefixes:
-                lines.append(
-                    "# HELP repro_obs_cache_hit_rate Hit rate per instrumented cache"
-                )
-                lines.append("# TYPE repro_obs_cache_hit_rate gauge")
-                for prefix in prefixes:
-                    hits = obs_counters.get(f"{prefix}.hits", 0)
-                    misses = obs_counters.get(f"{prefix}.misses", 0)
-                    total = hits + misses
-                    rate = hits / total if total else 0.0
-                    lines.append(
-                        f"repro_obs_cache_hit_rate{_labels({'cache': prefix})} {_fmt(rate)}"
-                    )
-        return "\n".join(lines) + "\n"
-
-
-def parse_metric(text: str, name: str, labels: Optional[Dict[str, str]] = None) -> float:
-    """Read one sample back out of a Prometheus text page (used by tests and the CLI)."""
-    want = f"{name}{_labels(labels)}"
-    for line in text.splitlines():
-        if line.startswith("#"):
-            continue
-        parts = line.rsplit(" ", 1)
-        if len(parts) == 2 and parts[0] == want:
-            return float(parts[1])
-    raise KeyError(f"metric {want!r} not found")
-
-
-def iter_samples(text: str) -> Iterable[Tuple[str, float]]:
-    """Yield ``(sample_name, value)`` pairs from a Prometheus text page."""
-    for line in text.splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        sample, value = line.rsplit(" ", 1)
-        yield sample, float(value)

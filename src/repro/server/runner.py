@@ -24,7 +24,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Dict, List, Optional
 
 from ..service.cache import ResultCache
-from ..service.executor import _execute_one, _execute_trials, default_worker_count
+from ..service.executor import _execute_one, default_worker_count
 from ..service.jobs import JobError
 from ..transpiler.registry import get_routing
 from .metrics import ServerMetrics
@@ -38,15 +38,16 @@ class JobRunner:
         self,
         queue: JobQueue,
         cache: ResultCache,
+        metrics: ServerMetrics,
         *,
         concurrency: Optional[int] = None,
         max_workers: Optional[int] = None,
         use_processes: bool = True,
-        metrics: Optional[ServerMetrics] = None,
         ensemble_fanout_threshold: int = 8,
     ) -> None:
         self.queue = queue
         self.cache = cache
+        self.metrics = metrics
         #: Fan a ``best_of=K`` job's trials across the pool when ``K`` reaches this
         #: threshold (and more than one worker exists).  Small ensembles stay in one
         #: worker, where the batched scoring kernel amortises them more cheaply than
@@ -57,7 +58,6 @@ class JobRunner:
         #: submissions without ever running them (tests use this to pin jobs in QUEUED).
         self.concurrency = self.max_workers if concurrency is None else max(0, concurrency)
         self.use_processes = use_processes
-        self.metrics = metrics if metrics is not None else ServerMetrics()
         self._pool: Optional[Executor] = None
         self._pool_kind = "none"
         self._tasks: List[asyncio.Task] = []
@@ -295,7 +295,7 @@ class JobRunner:
         payload = record.job.to_dict()
         raws = await asyncio.gather(
             *(
-                loop.run_in_executor(self._pool, _execute_trials, payload, chunk, trace_ctx)
+                loop.run_in_executor(self._pool, _execute_one, payload, trace_ctx, chunk)
                 for chunk in chunks
             )
         )
@@ -335,9 +335,7 @@ class JobRunner:
         outcome = record.state if not record.from_cache else "cached"
         metrics.jobs_finished.inc(outcome=outcome)
         if record.started_at is not None:
-            queue_wait = record.started_at - record.submitted_at
-            metrics.queue_wait.observe(queue_wait)
-            metrics.server_queue_wait.observe(queue_wait)
+            metrics.queue_wait.observe(record.started_at - record.submitted_at)
             if record.finished_at is not None and not record.from_cache:
                 metrics.run_seconds.observe(record.finished_at - record.started_at)
         if record.finished_at is not None:

@@ -24,8 +24,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..obs.counters import COUNTERS
-
 
 @dataclass
 class CacheStats:
@@ -87,24 +85,19 @@ class ResultCache:
             if payload is not None:
                 self._entries.move_to_end(fingerprint)
                 self.stats.hits += 1
-                COUNTERS.inc("cache.result.hits")
                 return payload
             payload = self._read_disk(fingerprint)
             if payload is not None:
                 self.stats.disk_hits += 1
-                COUNTERS.inc("cache.result.hits")
-                COUNTERS.inc("cache.result.disk_hits")
                 self._insert(fingerprint, payload)
                 return payload
             self.stats.misses += 1
-            COUNTERS.inc("cache.result.misses")
             return None
 
     def put(self, fingerprint: str, payload: Dict) -> None:
         """Store a result payload under its fingerprint (memory, and disk if enabled)."""
         with self._lock:
             self.stats.stores += 1
-            COUNTERS.inc("cache.result.stores")
             self._insert(fingerprint, payload)
             self._write_disk(fingerprint, payload)
 

@@ -34,7 +34,9 @@ from .jobs import JobError, JobOutcome, TranspileJob
 ProgressCallback = Callable[[int, int, JobOutcome], None]
 
 
-def _execute_one(payload: Dict, trace_ctx: Optional[Dict] = None) -> Dict:
+def _execute_one(
+    payload: Dict, trace_ctx: Optional[Dict] = None, trials: Optional[List[int]] = None
+) -> Dict:
     """Run one job dict, returning ``{"ok": ..., "result"|"error": ...}`` (never raises).
 
     ``trace_ctx`` (``{"trace_id", "parent_id"}``) rides *next to* the job payload, never
@@ -44,53 +46,11 @@ def _execute_one(payload: Dict, trace_ctx: Optional[Dict] = None) -> Dict:
     the top-level ``"trace"`` key — deliberately outside ``"result"``, so the result
     payload that enters the shared :class:`ResultCache` stays trace-free (cached payloads
     are served to unrelated future requests).
-    """
-    job = TranspileJob.from_dict(payload)
-    tracer = None
-    if trace_ctx is not None:
-        tracer = Tracer(
-            trace_id=trace_ctx.get("trace_id"),
-            parent_id=trace_ctx.get("parent_id"),
-            process="worker",
-        )
-    try:
-        with use_tracer(tracer) if tracer is not None else nullcontext():
-            result = job.run()
-        result_payload = result.to_dict()
-        trace = result_payload.pop("trace", [])
-        raw = {"ok": True, "result": result_payload}
-        if trace:
-            raw["trace"] = trace
-        return raw
-    except Exception as exc:  # noqa: BLE001 - error isolation is the contract
-        error = JobError(
-            fingerprint=job.fingerprint(),
-            job_name=job.name,
-            exc_type=type(exc).__name__,
-            message=str(exc),
-            traceback=traceback.format_exc(),
-        )
-        raw = {"ok": False, "error": error.to_dict()}
-        if tracer is not None:
-            raw["trace"] = tracer.span_dicts()
-        return raw
 
-
-def _execute_chunk(payloads: List[Dict]) -> List[Dict]:
-    """Worker entry point: run a chunk of job dicts serially inside one process."""
-    return [_execute_one(payload) for payload in payloads]
-
-
-def _execute_trials(
-    payload: Dict, trials: List[int], trace_ctx: Optional[Dict] = None
-) -> Dict:
-    """Worker entry point for ensemble fan-out: run a subset of one job's trials.
-
-    Same payload contract as :func:`_execute_one`, but the job's ``best_of`` ensemble
-    executes only the given global trial indices (seeds unchanged).  The caller reduces
-    the subset results by their ``ensemble["winner_key"]`` — bit-identical to running
-    all trials in one process, because ensemble pruning is lossless under any
-    partition of trials.
+    ``trials`` (ensemble fan-out) runs only the given global trial indices of the job's
+    ``best_of`` ensemble, seeds unchanged.  The caller reduces the subset results by
+    their ``ensemble["winner_key"]`` — bit-identical to running all trials in one
+    process, because ensemble pruning is lossless under any partition of trials.
     """
     job = TranspileJob.from_dict(payload)
     tracer = None
@@ -121,6 +81,11 @@ def _execute_trials(
         if tracer is not None:
             raw["trace"] = tracer.span_dicts()
         return raw
+
+
+def _execute_chunk(payloads: List[Dict]) -> List[Dict]:
+    """Worker entry point: run a chunk of job dicts serially inside one process."""
+    return [_execute_one(payload) for payload in payloads]
 
 
 def default_worker_count() -> int:

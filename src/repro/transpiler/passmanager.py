@@ -314,32 +314,21 @@ class PassManager:
         return self._run_pass(item, dag)
 
     def _run_pass(self, pass_: TranspilerPass, dag: DAGCircuit) -> DAGCircuit:
-        tracer = current_tracer()
-        if tracer is not None:
-            return self._run_pass_traced(pass_, dag, tracer)
-        version_before = dag.version
-        start = time.perf_counter()
-        result = pass_.run(dag, self.property_set)
-        self.timing_log.append((pass_.name, time.perf_counter() - start))
-        return self._check_pass_result(pass_, dag, result, version_before)
-
-    def _run_pass_traced(self, pass_, dag: DAGCircuit, tracer) -> DAGCircuit:
-        """Traced twin of :meth:`_run_pass`: one span per pass invocation, carrying the
-        DAG delta (gates, depth, 2q count, SWAPs inserted).  ``timing_log`` keeps being
-        fed identically, so it remains a compatible flat view of the span tree.
+        """Run one pass through :meth:`_timed_run`; an installed tracer wraps that call
+        in one span carrying the DAG delta (gates, depth, 2q count, SWAPs inserted), so
+        ``timing_log`` is the flat view of the span tree.
 
         DAG stats are memoised on ``(dag, version)``: pass N's after-stats are pass
         N+1's before-stats, so the walk runs once per *actual change*, not twice per
         pass — this keeps traced overhead within the CI trace-overhead gate."""
+        tracer = current_tracer()
+        if tracer is None:
+            return self._timed_run(pass_, dag)
         version_before = dag.version
         before = self._traced_stats(dag)
         kind = "analysis" if isinstance(pass_, AnalysisPass) else "transform"
         with tracer.span(f"pass:{pass_.name}", kind=kind) as span:
-            start = time.perf_counter()
-            result = pass_.run(dag, self.property_set)
-            elapsed = time.perf_counter() - start
-            self.timing_log.append((pass_.name, elapsed))
-            out = self._check_pass_result(pass_, dag, result, version_before)
+            out = self._timed_run(pass_, dag)
             changed = not isinstance(pass_, AnalysisPass) and (
                 out is not dag or out.version != version_before
             )
@@ -354,9 +343,12 @@ class PassManager:
                 span.set("swaps_inserted", after["swaps"] - before["swaps"])
         return out
 
-    def _check_pass_result(
-        self, pass_: TranspilerPass, dag: DAGCircuit, result, version_before: int
-    ) -> DAGCircuit:
+    def _timed_run(self, pass_: TranspilerPass, dag: DAGCircuit) -> DAGCircuit:
+        """The one timed pass call: run, append to ``timing_log``, validate the result."""
+        version_before = dag.version
+        start = time.perf_counter()
+        result = pass_.run(dag, self.property_set)
+        self.timing_log.append((pass_.name, time.perf_counter() - start))
         if isinstance(pass_, AnalysisPass):
             if result is not None and result is not dag:
                 raise TranspilerError(

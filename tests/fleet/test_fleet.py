@@ -19,10 +19,10 @@ from repro.circuit import qasm
 from repro.client import ReproClient, ServerError
 from repro.fleet import FleetCoordinator, FleetWorkerServer
 from repro.fleet.ring import HashRing
+from repro.obs import parse_metric
 from repro.obs.counters import COUNTERS
 from repro.obs.tracer import Tracer, use_tracer
 from repro.server.http import ThreadedServer
-from repro.server.metrics import parse_metric
 
 HEARTBEAT = 0.2
 
@@ -296,6 +296,21 @@ class TestFailover:
         finally:
             w0.stop(drain=False, timeout=5)
             coordinator.stop(timeout=5)
+
+    def test_failed_deregister_is_counted_and_warned(self, capsys):
+        coordinator = start_coordinator()
+        worker = start_worker(coordinator.url, "orphan-0")
+        try:
+            wait_for_nodes(ReproClient(coordinator.url), 1)
+            assert wait_for(lambda: worker.server.registered)
+        finally:
+            coordinator.stop(timeout=5)
+        before = COUNTERS.get("fleet.deregister_errors")
+        worker.stop(timeout=10)
+        assert COUNTERS.get("fleet.deregister_errors") == before + 1
+        err = capsys.readouterr().err
+        assert "orphan-0 failed to deregister" in err
+        assert coordinator.url in err
 
     def test_dead_node_job_reroutes_without_client_visible_failure(self):
         coordinator = start_coordinator()

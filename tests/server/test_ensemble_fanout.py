@@ -7,11 +7,13 @@ import pytest
 
 from repro import QuantumCircuit, Target, TranspileJob, TranspileOptions, transpile
 from repro.circuit import qasm
-from repro.server import ReproServer, parse_metric
+from repro.obs import parse_metric
+from repro.server import ReproServer
+from repro.server.metrics import ServerMetrics
 from repro.server.queue import JobQueue
 from repro.server.runner import JobRunner
 from repro.service.cache import ResultCache
-from repro.service.executor import _execute_trials
+from repro.service.executor import _execute_one
 
 
 def ensemble_circuit(name: str = "spread6") -> QuantumCircuit:
@@ -28,7 +30,8 @@ def linear_target(qubits: int = 8) -> Target:
 
 def make_runner(**kwargs) -> JobRunner:
     kwargs.setdefault("use_processes", False)
-    return JobRunner(JobQueue(), ResultCache(), **kwargs)
+    queue, cache = JobQueue(), ResultCache()
+    return JobRunner(queue, cache, ServerMetrics(queue, cache), **kwargs)
 
 
 class FakePool:
@@ -88,7 +91,7 @@ class TestExecuteTrialsWorker:
             ensemble_circuit(), linear_target(),
             TranspileOptions(routing="sabre", best_of=4, seed=0),
         )
-        raw = _execute_trials(job.to_dict(), [1, 3])
+        raw = _execute_one(job.to_dict(), trials=[1, 3])
         assert raw["ok"]
         ensemble = raw["result"]["ensemble"]
         assert ensemble["executed_trials"] == [1, 3]
@@ -100,7 +103,7 @@ class TestExecuteTrialsWorker:
             ensemble_circuit(), linear_target(),
             TranspileOptions(routing="sabre", best_of=4, seed=0),
         )
-        raw = _execute_trials(job.to_dict(), [99])
+        raw = _execute_one(job.to_dict(), trials=[99])
         assert not raw["ok"]
         assert raw["error"]["exc_type"] == "TranspilerError"
 

@@ -20,7 +20,8 @@ from repro import (
 )
 from repro.circuit import qasm
 from repro.client import JobFailed, ServerError
-from repro.server import ReproServer, parse_metric
+from repro.obs import parse_metric
+from repro.server import ReproServer
 from repro.service import BatchTranspiler
 
 
