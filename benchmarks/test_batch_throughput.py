@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.benchlib import table_benchmarks
-from repro.hardware import linear_coupling_map
+from repro.hardware import Target, linear_coupling_map
 from repro.service import BatchTranspiler, ResultCache, TranspileJob
 
 from bench_config import FULL, save_report
@@ -25,7 +25,7 @@ WORKER_COUNTS = (1, 2, 4)
 
 
 def build_jobs():
-    coupling = linear_coupling_map(25)
+    target = Target(coupling_map=linear_coupling_map(25))
     jobs = []
     for case in table_benchmarks(names=BATCH_NAMES):
         circuit = case.build()
@@ -33,7 +33,7 @@ def build_jobs():
             for seed in BATCH_SEEDS:
                 jobs.append(
                     TranspileJob.from_circuit(
-                        circuit, coupling, routing=routing, seed=seed,
+                        circuit, target, routing=routing, seed=seed,
                         name=f"{case.name}[{routing},s{seed}]",
                     )
                 )

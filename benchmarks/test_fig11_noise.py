@@ -6,7 +6,7 @@ import pytest
 
 from repro.benchlib import get_benchmark
 from repro.evaluation import NOISE_METHODS, format_noise_experiment, run_noise_experiment
-from repro.hardware import fake_montreal_calibration, montreal_coupling_map
+from repro.hardware import Target, fake_montreal_calibration, montreal_coupling_map
 from repro.simulator import NoiseModel, NoisySimulator
 from repro.core import transpile
 
@@ -45,7 +45,8 @@ def test_noisy_simulation_speed(benchmark, fig11_rows):
     """Wall-clock of one noisy Monte-Carlo simulation (the dominant Fig. 11 cost)."""
     calibration = fake_montreal_calibration()
     circuit = get_benchmark("grover_n4")
-    routed = transpile(circuit, montreal_coupling_map(), routing="nassc", seed=0).circuit
+    target = Target(coupling_map=montreal_coupling_map())
+    routed = transpile(circuit, target, routing="nassc", seed=0).circuit
     simulator = NoisySimulator(
         NoiseModel.from_calibration(calibration), realizations=32, seed=0
     )

@@ -10,7 +10,7 @@ import pytest
 from repro.core import NASSCConfig, transpile
 from repro.benchlib import get_benchmark
 from repro.evaluation import format_ablation, run_optimization_ablation
-from repro.hardware import montreal_coupling_map
+from repro.hardware import Target, montreal_coupling_map
 
 from bench_config import FULL, SEEDS, save_report, selected_ablation_cases
 
@@ -51,8 +51,8 @@ def test_fig9_some_combination_beats_sabre(ablation):
 def test_single_combination_speed(benchmark, combo, ablation):
     config = NASSCConfig(*combo)
     circuit = get_benchmark("grover_n4")
-    coupling = montreal_coupling_map()
+    target = Target(coupling_map=montreal_coupling_map())
     result = benchmark(
-        lambda: transpile(circuit, coupling, routing="nassc", seed=0, nassc_config=config)
+        lambda: transpile(circuit, target, routing="nassc", seed=0, nassc_config=config)
     )
     assert result.cx_count > 0

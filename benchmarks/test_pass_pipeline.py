@@ -460,14 +460,14 @@ def test_commutation_analysis_not_recomputed_inside_cancellation(pipeline_timing
 
 def test_optimization_loop_iteration_bound(pipeline_timings):
     """The declared fixed-point loop never exceeds its iteration cap."""
-    from repro.core.pipeline import MAX_OPT_LOOP_ITERATIONS
+    from repro.transpiler.builder import LEVEL_FIXED_POINT_ITERATIONS
 
     for row in pipeline_timings:
         if row["routing"] == "none":
             continue
         names = [name for name, _ in row["pass_timing_log"]]
         post_routing_us = names[names.index("SwapLowering"):].count("UnitarySynthesis")
-        assert 1 <= post_routing_us <= MAX_OPT_LOOP_ITERATIONS
+        assert 1 <= post_routing_us <= LEVEL_FIXED_POINT_ITERATIONS["O1"]
 
 
 @pytest.mark.benchmark(group="pass-pipeline")

@@ -5,7 +5,7 @@ import pytest
 from repro.benchlib import get_benchmark
 from repro.core import transpile
 from repro.evaluation import format_cnot_table, run_table_experiment
-from repro.hardware import montreal_coupling_map
+from repro.hardware import Target, montreal_coupling_map
 
 from bench_config import SEEDS, save_report, selected_table_cases
 
@@ -44,6 +44,6 @@ def test_table1_transpile_time_ratio(table1):
 def test_routing_speed_grover_n6(benchmark, routing, table1):
     """Wall-clock comparison of the two routing pipelines on one medium benchmark."""
     circuit = get_benchmark("grover_n6")
-    coupling = montreal_coupling_map()
-    result = benchmark(lambda: transpile(circuit, coupling, routing=routing, seed=0))
+    target = Target(coupling_map=montreal_coupling_map())
+    result = benchmark(lambda: transpile(circuit, target, routing=routing, seed=0))
     assert result.cx_count > 0

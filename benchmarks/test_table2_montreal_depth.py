@@ -5,7 +5,7 @@ import pytest
 from repro.benchlib import get_benchmark
 from repro.core import transpile
 from repro.evaluation import format_depth_table, run_table_experiment
-from repro.hardware import montreal_coupling_map
+from repro.hardware import Target, montreal_coupling_map
 
 from bench_config import SEEDS, save_report, selected_table_cases
 
@@ -46,6 +46,7 @@ def test_table2_depths_exceed_original(table2):
 def test_depth_measurement_speed(benchmark, table2):
     """Micro-benchmark of the depth metric itself on a routed circuit."""
     circuit = get_benchmark("qft_n15")
-    routed = transpile(circuit, montreal_coupling_map(), routing="nassc", seed=0).circuit
+    target = Target(coupling_map=montreal_coupling_map())
+    routed = transpile(circuit, target, routing="nassc", seed=0).circuit
     depth = benchmark(routed.depth)
     assert depth > 0

@@ -5,7 +5,7 @@ import pytest
 from repro.benchlib import get_benchmark
 from repro.core import transpile
 from repro.evaluation import format_cnot_table, run_table_experiment
-from repro.hardware import linear_coupling_map
+from repro.hardware import Target, linear_coupling_map
 
 from bench_config import SEEDS, save_report, selected_table_cases
 
@@ -48,6 +48,6 @@ def test_table3_linear_needs_more_swaps_than_montreal(table3):
 @pytest.mark.parametrize("routing", ["sabre", "nassc"])
 def test_routing_speed_vqe_n8(benchmark, routing, table3):
     circuit = get_benchmark("vqe_n8")
-    coupling = linear_coupling_map(25)
-    result = benchmark(lambda: transpile(circuit, coupling, routing=routing, seed=0))
+    target = Target(coupling_map=linear_coupling_map(25))
+    result = benchmark(lambda: transpile(circuit, target, routing=routing, seed=0))
     assert result.cx_count > 0

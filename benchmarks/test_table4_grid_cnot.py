@@ -5,7 +5,7 @@ import pytest
 from repro.benchlib import get_benchmark
 from repro.core import transpile
 from repro.evaluation import format_cnot_table, run_table_experiment
-from repro.hardware import grid_coupling_map
+from repro.hardware import Target, grid_coupling_map
 
 from bench_config import SEEDS, save_report, selected_table_cases
 
@@ -31,6 +31,6 @@ def test_table4_report(table4):
 @pytest.mark.parametrize("routing", ["sabre", "nassc"])
 def test_routing_speed_adder_n10(benchmark, routing, table4):
     circuit = get_benchmark("adder_n10")
-    coupling = grid_coupling_map(5, 5)
-    result = benchmark(lambda: transpile(circuit, coupling, routing=routing, seed=0))
+    target = Target(coupling_map=grid_coupling_map(5, 5))
+    result = benchmark(lambda: transpile(circuit, target, routing=routing, seed=0))
     assert result.cx_count > 0

@@ -33,7 +33,6 @@ from .circuit.circuit import QuantumCircuit
 from .core.options import TranspileOptions
 from .core.pipeline import TranspileResult
 from .exceptions import ReproError
-from .hardware.coupling import CouplingMap
 from .hardware.target import Target
 from .obs.tracer import active_tracer, format_traceparent
 from .service.jobs import TranspileJob
@@ -244,7 +243,7 @@ class ReproClient:
     def submit(
         self,
         circuit: Union[QuantumCircuit, str],
-        target: Union[Target, CouplingMap, None] = None,
+        target: Optional[Target] = None,
         options: Optional[TranspileOptions] = None,
         *,
         priority: int = 0,
@@ -273,7 +272,7 @@ class ReproClient:
         :meth:`RemoteJob.result` then returns the merged client→server→worker tree in
         ``TranspileResult.trace``.
         """
-        payload: Dict = {"job": job.to_dict(), "priority": priority}
+        payload: Dict = {**job.to_dict(), "priority": priority}
         if self.client_id:
             payload["client"] = self.client_id
         tracer = active_tracer()
@@ -297,7 +296,7 @@ class ReproClient:
         self, jobs: Sequence[TranspileJob], *, priority: int = 0
     ) -> List["RemoteJob"]:
         """Submit many jobs in one request (admitted atomically or rejected with 429)."""
-        payload: Dict = {"jobs": [{"job": job.to_dict()} for job in jobs], "priority": priority}
+        payload: Dict = {"jobs": [job.to_dict() for job in jobs], "priority": priority}
         if self.client_id:
             payload["client"] = self.client_id
         data = self._request("POST", "/v1/batch", payload)
@@ -480,7 +479,7 @@ class RemoteJob:
 
 def transpile_remote(
     circuit: Union[QuantumCircuit, str],
-    target: Union[Target, CouplingMap, None] = None,
+    target: Optional[Target] = None,
     options: Optional[TranspileOptions] = None,
     *,
     url: str = "http://127.0.0.1:8000",

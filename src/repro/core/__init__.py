@@ -5,7 +5,6 @@ from .nassc import NASSCConfig, NASSCRouting, NASSCSwapRouter
 from .options import LEVEL_DESCRIPTIONS, OPTIMIZATION_LEVELS, TranspileOptions, normalize_level
 from .pipeline import (
     PIPELINE_VERSION,
-    ROUTING_METHODS,
     TranspileResult,
     compare_routings,
     optimize_logical,
@@ -25,7 +24,6 @@ __all__ = [
     "TranspileOptions",
     "normalize_level",
     "PIPELINE_VERSION",
-    "ROUTING_METHODS",
     "TranspileResult",
     "compare_routings",
     "optimize_logical",

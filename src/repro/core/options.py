@@ -1,8 +1,6 @@
 """Compilation options: the :class:`TranspileOptions` frozen dataclass.
 
-``transpile()`` historically took a flat kwarg list (``routing=``, ``seed=``,
-``extended_set_size=``, ...).  ``TranspileOptions`` replaces that explosion with one
-immutable value object that
+``TranspileOptions`` is one immutable value object that
 
 * selects the preset optimization level (``O0``-``O3``) and the routing method (by
   registry name, so third-party routers plug in without touching this module),
@@ -157,18 +155,12 @@ class TranspileOptions:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "TranspileOptions":
-        nassc = data.get("nassc_config")
-        return cls(
-            routing=data.get("routing", "sabre"),
-            level=data.get("level", "O1"),
-            seed=data.get("seed"),
-            nassc_config=NASSCConfig(*nassc) if nassc else None,
-            noise_aware=data.get("noise_aware", False),
-            extended_set_size=data.get("extended_set_size", 20),
-            extended_set_weight=data.get("extended_set_weight", 0.5),
-            layout_iterations=data.get("layout_iterations", 2),
-            check=data.get("check", True),
-            best_of=data.get("best_of"),
-            schedule=data.get("schedule"),
-            route_cost=data.get("route_cost", "hops"),
-        )
+        """Rebuild options from :meth:`to_dict` output; absent keys take their defaults.
+
+        An unknown key raises instead of being ignored, so a misspelt knob in a
+        submission fails loudly rather than compiling with the default.
+        """
+        unknown = set(data) - {field.name for field in dataclasses.fields(cls)}
+        if unknown:
+            raise TranspilerError(f"unknown TranspileOptions key(s): {', '.join(sorted(unknown))}")
+        return cls(**data)

@@ -9,47 +9,33 @@ declared stages.  At level ``O1`` with ``routing="sabre"``/``"nassc"`` the compo
 pipeline is exactly the paper's evaluation pipeline, so differences in the reported
 metrics still isolate the paper's contribution.
 
-The historical flat-kwarg signature ``transpile(circuit, coupling_map, routing=...,
-calibration=..., ...)`` keeps working as a thin deprecation shim that folds the kwargs
-into a target and options before entering the same engine.
+The device is always a :class:`Target` (or ``None`` for an abstract all-to-all target);
+device properties are never separate keyword arguments.  Individual option fields may be
+given as keyword overrides of the ``options`` object.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..circuit.circuit import QuantumCircuit
 from ..exceptions import TranspilerError
 from ..schedule.ir import Schedule
-from ..hardware.calibration import DeviceCalibration
 from ..hardware.coupling import CouplingMap
 from ..hardware.target import Target
 from ..obs.tracer import active_tracer, env_trace_path
-from ..transpiler.builder import LEVEL_FIXED_POINT_ITERATIONS, PipelineBuilder
+from ..transpiler.builder import PipelineBuilder
 from ..transpiler.passmanager import PropertySet
 from ..transpiler.passes.layout import Layout
-from ..transpiler.registry import available_routings
 from .nassc import NASSCConfig
 from .options import TranspileOptions
-
-#: Registered routing-method names at import time (built-ins only: env plugin modules
-#: are deliberately not loaded here, since they import ``repro`` back while it is still
-#: initialising).  Deprecated snapshot kept for backward compatibility — consult
-#: :func:`repro.transpiler.registry.available_routings` for the live list.
-ROUTING_METHODS = tuple(available_routings(load_plugins=False))
 
 #: Version of the transpiler pipeline's structure/semantics.  Bumped whenever a refactor
 #: could change compiled output or the meaning of recorded metrics; the service layer folds
 #: it into job fingerprints so refactored pipelines never serve stale cached results.
 PIPELINE_VERSION = 5
-
-#: Iteration cap of the ``O1`` post-routing optimization loop (kept as a module constant
-#: for backward compatibility; per-level caps live in
-#: :data:`repro.transpiler.builder.LEVEL_FIXED_POINT_ITERATIONS`).
-MAX_OPT_LOOP_ITERATIONS = LEVEL_FIXED_POINT_ITERATIONS["O1"]
 
 
 @dataclass
@@ -163,38 +149,19 @@ class TranspileResult:
 
 
 # ---------------------------------------------------------------------------
-# Target/options resolution (the legacy-kwarg deprecation shim lives here)
+# Target/options resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_target(
-    target: Union[Target, CouplingMap, None],
-    calibration: Optional[DeviceCalibration],
-    final_basis: Optional[str],
-) -> Target:
-    """Normalise the device argument to a :class:`Target`, warning on the legacy forms."""
-    if isinstance(target, Target):
-        if calibration is not None or final_basis is not None:
-            raise TranspilerError(
-                "pass device properties (calibration, final_basis) on the Target, "
-                "not as transpile() kwargs"
-            )
-        return target
-    if target is not None and not isinstance(target, CouplingMap):
+def resolve_target(target: Optional[Target]) -> Target:
+    """The device of a compile entry point: ``None`` is the abstract all-to-all target."""
+    if target is None:
+        return Target()
+    if not isinstance(target, Target):
         raise TranspilerError(
-            f"expected a Target or CouplingMap, got {type(target).__name__}"
+            f"expected a Target or None, got {type(target).__name__}; "
+            "describe the device as Target(coupling_map=...)"
         )
-    if isinstance(target, CouplingMap) or calibration is not None or final_basis is not None:
-        warnings.warn(
-            "passing a bare coupling map / device kwargs to transpile() is deprecated; "
-            "build a repro.Target instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return Target(
-        coupling_map=target,
-        calibration=calibration,
-        final_basis=final_basis if final_basis is not None else "zsx",
-    )
+    return target
 
 
 def _resolve_options(options: Optional[TranspileOptions], overrides: Dict) -> TranspileOptions:
@@ -208,21 +175,18 @@ def _resolve_options(options: Optional[TranspileOptions], overrides: Dict) -> Tr
 
 def transpile(
     circuit: QuantumCircuit,
-    target: Union[Target, CouplingMap, None] = None,
+    target: Optional[Target] = None,
     options: Optional[TranspileOptions] = None,
     *,
     routing: Optional[str] = None,
     level: Optional[Union[str, int]] = None,
     seed: Optional[int] = None,
     nassc_config: Optional[NASSCConfig] = None,
-    calibration: Optional[DeviceCalibration] = None,
     noise_aware: Optional[bool] = None,
     extended_set_size: Optional[int] = None,
     extended_set_weight: Optional[float] = None,
     layout_iterations: Optional[int] = None,
-    final_basis: Optional[str] = None,
     check: Optional[bool] = None,
-    coupling_map: Optional[CouplingMap] = None,
     best_of: Optional[int] = None,
     schedule: Optional[str] = None,
     route_cost: Optional[str] = None,
@@ -235,16 +199,8 @@ def transpile(
     (``transpile(circuit, target, level="O2")``).  Defaults mirror the paper's
     experimental configuration (Sec. V): extended layer size 20 with weight 0.5,
     SABRE-style reverse-traversal layout, all NASSC optimizations enabled, level ``O1``.
-
-    Passing a bare :class:`CouplingMap` — positionally or via the historical
-    ``coupling_map=`` keyword — plus ``calibration=``/``final_basis=`` is the deprecated
-    legacy form; it still works but emits a :class:`DeprecationWarning`.
     """
-    if coupling_map is not None:
-        if target is not None:
-            raise TranspilerError("pass either target or the legacy coupling_map, not both")
-        target = coupling_map
-    resolved_target = _resolve_target(target, calibration, final_basis)
+    resolved_target = resolve_target(target)
     resolved_options = _resolve_options(
         options,
         {
@@ -322,31 +278,25 @@ def optimize_logical(circuit: QuantumCircuit, final_basis: str = "zsx") -> Quant
 
 def compare_routings(
     circuit: QuantumCircuit,
-    target: Union[Target, CouplingMap],
+    target: Optional[Target],
     *,
     methods: Sequence[str] = ("sabre", "nassc"),
     seed: Optional[int] = None,
     nassc_config: Optional[NASSCConfig] = None,
-    calibration: Optional[DeviceCalibration] = None,
     noise_aware: Optional[bool] = None,
     level: Optional[Union[str, int]] = None,
     options: Optional[TranspileOptions] = None,
 ) -> Dict[str, TranspileResult]:
     """Run several routing methods on one circuit and return results keyed by method.
 
-    Every option — including ``calibration`` and ``noise_aware``, which earlier versions
-    silently dropped — is forwarded to each method, so Fig.-11 style noise-aware
-    comparisons work directly::
+    Every option is forwarded to each method, so Fig.-11 style noise-aware comparisons
+    work directly::
 
         compare_routings(circuit, Target(coupling, calibration=calib), noise_aware=True)
 
     As with :func:`transpile`, keyword arguments override the corresponding fields of an
     ``options`` object when both are given.
     """
-    if isinstance(target, CouplingMap):
-        target = Target(coupling_map=target, calibration=calibration)
-    elif calibration is not None:
-        raise TranspilerError("pass calibration on the Target, not as a kwarg")
     base = _resolve_options(
         options,
         {"seed": seed, "nassc_config": nassc_config, "noise_aware": noise_aware, "level": level},

@@ -43,7 +43,6 @@ from ..circuit.circuit import Instruction, QuantumCircuit
 from ..circuit.dag import StreamingDAG
 from ..circuit.qasm import QASMStreamReader, header_lines, instruction_line
 from ..exceptions import TranspilerError
-from ..hardware.coupling import CouplingMap
 from ..hardware.target import Target
 from ..obs.counters import COUNTERS
 from ..transpiler.builder import PipelineBuilder
@@ -52,7 +51,7 @@ from ..transpiler.passes.layout import Layout
 from ..transpiler.passes.swap_lowering import lower_swap, swap_orientation
 from .nassc import NASSCConfig
 from .options import TranspileOptions
-from .pipeline import _resolve_options, _resolve_target
+from .pipeline import _resolve_options, resolve_target
 
 #: Default live-window size (gates) of the streaming frontier.
 DEFAULT_WINDOW_GATES = 4096
@@ -171,7 +170,7 @@ def _validate_stream_options(options: TranspileOptions, plan) -> None:
 
 def transpile_stream(
     source: Union[QuantumCircuit, QASMStreamReader, Iterable[Instruction]],
-    target: Union[Target, CouplingMap, None] = None,
+    target: Optional[Target] = None,
     options: Optional[TranspileOptions] = None,
     *,
     window_gates: int = DEFAULT_WINDOW_GATES,
@@ -213,7 +212,7 @@ def transpile_stream(
     if chunk_gates < 1:
         raise TranspilerError(f"chunk_gates must be >= 1, got {chunk_gates}")
 
-    resolved_target = _resolve_target(target, None, None)
+    resolved_target = resolve_target(target)
     base = options if options is not None else TranspileOptions(level="O0", layout_iterations=0)
     resolved = _resolve_options(
         base,

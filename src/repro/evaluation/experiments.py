@@ -26,6 +26,7 @@ import numpy as np
 from ..benchlib.suite import BenchmarkCase, noise_benchmarks, table_benchmarks
 from ..circuit import qasm
 from ..core.nassc import NASSCConfig
+from ..core.options import TranspileOptions
 from ..core.pipeline import TranspileResult, optimize_logical
 from ..hardware.calibration import (
     DeviceCalibration,
@@ -33,6 +34,7 @@ from ..hardware.calibration import (
     synthetic_calibration,
 )
 from ..hardware.coupling import CouplingMap
+from ..hardware.target import Target
 from ..hardware.topologies import get_topology
 from ..service.executor import BatchTranspiler, ProgressCallback
 from ..service.jobs import TranspileJob
@@ -179,9 +181,15 @@ class TableResult:
         )
 
 
+def _table_target(coupling_map: CouplingMap, schedule: Optional[str]) -> Target:
+    """The device of a table run: scheduling needs the topology's synthetic calibration."""
+    calibration = synthetic_calibration(coupling_map) if schedule else None
+    return Target(coupling_map=coupling_map, calibration=calibration)
+
+
 def _comparison_jobs(
     case: BenchmarkCase,
-    coupling_map: CouplingMap,
+    target: Target,
     seeds: Sequence[int],
     nassc_config: Optional[NASSCConfig],
     *,
@@ -189,34 +197,24 @@ def _comparison_jobs(
     routing: str = "nassc",
     level: str = "O1",
     schedule: Optional[str] = None,
-    calibration: Optional[Dict] = None,
 ) -> List[TranspileJob]:
     """The jobs of one table row: the no-routing reference, then (baseline, routing) per seed.
 
-    ``schedule`` (with the matching ``calibration`` dict) makes every *routed* job also
-    lower its result to a timed schedule; the unrouted reference stays unscheduled (it
+    ``schedule`` makes every *routed* job also lower its result to a timed schedule
+    against the (calibrated) ``target``; the unrouted reference stays unscheduled (it
     has no device to be timed against).
     """
-    # Serialise the circuit and device once per case; the per-seed jobs share the text.
+    # Serialise the circuit once per case; the per-seed jobs share the text.
     qasm_text = qasm.dumps(case.build())
-    coupling = coupling_map.to_dict()
-    config = nassc_config.as_tuple() if nassc_config else None
-    jobs = [TranspileJob(qasm=qasm_text, routing="none", level=level, name=f"{case.name}[orig]")]
+    jobs = [TranspileJob(
+        qasm_text, None, TranspileOptions(routing="none", level=level), f"{case.name}[orig]"
+    )]
     for seed in seeds:
-        jobs.append(
-            TranspileJob(
-                qasm=qasm_text, routing=baseline, level=level, coupling_map=coupling,
-                seed=seed, schedule=schedule, calibration=calibration,
-                name=f"{case.name}[{baseline},s{seed}]",
+        for method, config in ((baseline, None), (routing, nassc_config)):
+            options = TranspileOptions(
+                routing=method, level=level, seed=seed, nassc_config=config, schedule=schedule
             )
-        )
-        jobs.append(
-            TranspileJob(
-                qasm=qasm_text, routing=routing, level=level, coupling_map=coupling,
-                seed=seed, nassc_config=config, schedule=schedule, calibration=calibration,
-                name=f"{case.name}[{routing},s{seed}]",
-            )
-        )
+            jobs.append(TranspileJob(qasm_text, target, options, f"{case.name}[{method},s{seed}]"))
     return jobs
 
 
@@ -263,10 +261,9 @@ def compare_benchmark(
 ) -> ComparisonRow:
     """Average baseline-vs-treatment comparison for one benchmark over the given seeds."""
     executor = _resolve_executor(executor, workers)
-    calibration = synthetic_calibration(coupling_map).to_dict() if schedule else None
     jobs = _comparison_jobs(
-        case, coupling_map, seeds, nassc_config, baseline=baseline, routing=routing,
-        level=level, schedule=schedule, calibration=calibration,
+        case, _table_target(coupling_map, schedule), seeds, nassc_config,
+        baseline=baseline, routing=routing, level=level, schedule=schedule,
     )
     return _comparison_row(case, executor.results(jobs))
 
@@ -302,11 +299,11 @@ def run_table_experiment(
         cases = table_benchmarks(max_qubits=coupling_map.num_qubits)
     executor = _resolve_executor(executor, workers)
     eligible = [case for case in cases if case.num_qubits <= coupling_map.num_qubits]
-    calibration = synthetic_calibration(coupling_map).to_dict() if schedule else None
+    target = _table_target(coupling_map, schedule)
     job_lists = [
         _comparison_jobs(
-            case, coupling_map, seeds, None, baseline=baseline, routing=routing,
-            level=level, schedule=schedule, calibration=calibration,
+            case, target, seeds, None, baseline=baseline, routing=routing,
+            level=level, schedule=schedule,
         )
         for case in eligible
     ]
@@ -372,14 +369,14 @@ def run_optimization_ablation(
     eligible = [case for case in cases if case.num_qubits <= coupling_map.num_qubits]
     combinations = NASSCConfig.all_combinations()
 
-    coupling = coupling_map.to_dict()
+    target = Target(coupling_map=coupling_map)
     job_lists: List[List[TranspileJob]] = []
     for case in eligible:
         qasm_text = qasm.dumps(case.build())
         jobs = [
             TranspileJob(
-                qasm=qasm_text, routing=baseline, coupling_map=coupling, seed=seed,
-                name=f"{case.name}[{baseline},s{seed}]",
+                qasm_text, target, TranspileOptions(routing=baseline, seed=seed),
+                f"{case.name}[{baseline},s{seed}]",
             )
             for seed in seeds
         ]
@@ -387,8 +384,9 @@ def run_optimization_ablation(
             key = AblationRow.combination_key(config)
             jobs.extend(
                 TranspileJob(
-                    qasm=qasm_text, routing="nassc", coupling_map=coupling, seed=seed,
-                    nassc_config=config.as_tuple(), name=f"{case.name}[{key},s{seed}]",
+                    qasm_text, target,
+                    TranspileOptions(routing="nassc", seed=seed, nassc_config=config),
+                    f"{case.name}[{key},s{seed}]",
                 )
                 for seed in seeds
             )
@@ -458,11 +456,15 @@ def run_noise_experiment(
     calibrated target inside the job spec); the noisy simulation itself stays
     in-process.
     """
-    from ..hardware.target import Target
     from ..simulator.statevector import StatevectorSimulator
 
     calibration = calibration or fake_montreal_calibration()
-    target = Target(coupling_map=get_topology("montreal"), calibration=calibration)
+    montreal = get_topology("montreal")
+    # The HA variants ship the calibrated target; the plain ones route on the bare map.
+    targets = {
+        False: Target(coupling_map=montreal),
+        True: Target(coupling_map=montreal, calibration=calibration),
+    }
     noise_model = NoiseModel.from_calibration(calibration)
     if cases is None:
         cases = noise_benchmarks()
@@ -470,17 +472,15 @@ def run_noise_experiment(
     variant_keys = noise_method_variants(methods)
 
     circuits = [case.build() for case in cases]
-    coupling = target.coupling_map.to_dict()
-    calibration_dict = calibration.to_dict()
     routing_jobs = [
         TranspileJob(
-            qasm=qasm_text,
-            routing=method[: -len("_ha")] if method.endswith("_ha") else method,
-            coupling_map=coupling,
-            seed=seed,
-            calibration=calibration_dict if method.endswith("_ha") else None,
-            noise_aware=method.endswith("_ha"),
-            name=f"{case.name}[{method}]",
+            qasm_text,
+            targets[method.endswith("_ha")],
+            TranspileOptions(
+                routing=method.removesuffix("_ha"), seed=seed,
+                noise_aware=method.endswith("_ha"),
+            ),
+            f"{case.name}[{method}]",
         )
         for case, qasm_text in zip(cases, (qasm.dumps(circuit) for circuit in circuits))
         for method in variant_keys

@@ -62,6 +62,9 @@ class FleetWorkerServer(ReproServer):
         self.advertise_host = advertise_host or host
         self.heartbeat_interval = 2.0  # replaced by the coordinator's cadence on register
         self.registered = False
+        #: A register request went out: the coordinator may list this node even though
+        #: its reply has not been read yet, so shutdown must deregister.
+        self.register_sent = False
         self._heartbeat_task: Optional[asyncio.Task] = None
 
     @property
@@ -113,6 +116,7 @@ class FleetWorkerServer(ReproServer):
             self.heartbeat_interval = float(interval)
 
     async def _register(self) -> bool:
+        self.register_sent = True
         try:
             status, _headers, data = await httpclient.fetch_json(
                 self.coordinator_url, "POST", "/fleet/v1/register",
@@ -149,9 +153,9 @@ class FleetWorkerServer(ReproServer):
             await asyncio.sleep(self.heartbeat_interval)
 
     async def _deregister(self) -> None:
-        if not self.registered:
+        if not self.register_sent:
             return
-        self.registered = False
+        self.registered = self.register_sent = False
         try:
             status, _headers, _data = await httpclient.fetch_json(
                 self.coordinator_url, "POST", "/fleet/v1/deregister",

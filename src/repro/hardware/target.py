@@ -1,11 +1,8 @@
 """The :class:`Target`: one immutable description of the device being compiled for.
 
-Historically every layer of the system shipped the same loose bundle of device kwargs
-around (``coupling_map``, ``calibration``, ``noise_aware``, ``final_basis``, ...).  The
-``Target`` replaces that bundle with a single JSON-round-trippable object, mirroring the
-device-target design Qiskit converged on for exactly the same pressure: one place that
-answers "what device am I compiling for?" for the pipeline builder, the routing plugins,
-the batch service's content-addressed cache, and the CLI.
+A single JSON-round-trippable object, mirroring Qiskit's device-target design: one place
+that answers "what device am I compiling for?" for the pipeline builder, the routing
+plugins, the batch service's content-addressed cache, and the CLI.
 
 A target is immutable after construction; derived data (the noise-aware distance matrix)
 is built lazily and memoised, so passing one target through a whole batch of compiles
@@ -142,6 +139,10 @@ class Target:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Target":
+        """Rebuild a target from :meth:`to_dict` output; an unknown key raises."""
+        unknown = set(data) - {"name", "final_basis", "coupling_map", "calibration"}
+        if unknown:
+            raise ReproError(f"unknown Target key(s): {', '.join(sorted(unknown))}")
         coupling = data.get("coupling_map")
         calibration = data.get("calibration")
         return cls(

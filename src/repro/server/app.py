@@ -4,15 +4,17 @@ A deliberately dependency-free HTTP/1.1 implementation (shared plumbing in
 :mod:`repro.server.http`), exposing the JSON API:
 
 =============================  ==========================================================
-``POST /v1/jobs``              submit one job (``{"job": {...}}`` flat dict, or
-                               ``{"qasm": ..., "target": ..., "options": ...}``); returns
+``POST /v1/jobs``              submit one job, ``{"qasm": ..., "target": ...,
+                               "options": ..., "name": ...}`` (the ``TranspileJob``
+                               wire form; unknown target/options keys are a 400); returns
                                202 with the job id — or 200 immediately when the result
                                cache already holds the fingerprint.  ``"stream": true``
                                (with optional ``window_gates``/``chunk_gates``) runs the
                                job through the streaming O0 pipeline: routed QASM is
                                emitted incrementally as ``routed_chunk`` events on
                                ``/v1/jobs/{id}/events`` and the result cache is bypassed
-``POST /v1/batch``             submit many jobs atomically (all admitted or all 429)
+``POST /v1/batch``             submit many jobs (``{"jobs": [body, ...]}``) atomically
+                               (all admitted or all 429)
 ``GET /v1/jobs``               summary list of known jobs
 ``GET /v1/jobs/{id}``          status/result; ``?wait=SECONDS`` long-polls for a terminal
                                state
@@ -135,10 +137,7 @@ class ReproServer(AsyncHTTPServer):
     async def _on_stop(self, *, drain: bool, timeout: float) -> None:
         await self.runner.stop(drain=drain, timeout=timeout)
 
-    # -- job construction -----------------------------------------------------
-
-    async def _job_from_payload(self, data: Dict) -> TranspileJob:
-        return job_from_payload(data)
+    # -- job admission --------------------------------------------------------
 
     async def _admit(
         self,
@@ -239,7 +238,7 @@ class ReproServer(AsyncHTTPServer):
 
     async def _handle_submit(self, request: Request, writer: asyncio.StreamWriter) -> None:
         data = request.json()
-        job = await self._job_from_payload(data)
+        job = job_from_payload(data)
         client = str(data.get("client") or request.client_id)
         priority = _int_field(data, "priority", default=0)
         trace_ctx = parse_traceparent(request.headers.get("traceparent"))
@@ -268,7 +267,7 @@ class ReproServer(AsyncHTTPServer):
         for index, spec in enumerate(specs):
             if not isinstance(spec, dict):
                 raise HTTPError(400, f"jobs[{index}] must be a JSON object")
-            jobs.append(await self._job_from_payload(spec))
+            jobs.append(job_from_payload(spec))
         # Phase 1 (awaits allowed): read the cache for every distinct fingerprint
         # without touching queue state.
         loop = asyncio.get_running_loop()
@@ -502,25 +501,23 @@ class ReproServer(AsyncHTTPServer):
 
 def job_from_payload(data: Dict) -> TranspileJob:
     """Build a :class:`TranspileJob` from a submission body (shared with the fleet
-    coordinator, which must compute the same fingerprint the node will)."""
+    coordinator, which must compute the same fingerprint the node will).
+
+    The body is the job's wire form plus admission fields (``priority``, ``client``,
+    ``stream``...); ``target`` and ``options`` may be omitted for their defaults.
+    """
     try:
-        if "job" in data:
-            if not isinstance(data["job"], dict):
-                raise HTTPError(400, '"job" must be a flat TranspileJob dict')
-            return TranspileJob.from_dict(data["job"])
-        if "qasm" not in data:
-            raise HTTPError(400, 'submission needs either "job" or "qasm"')
-        qasm_text = data["qasm"]
+        qasm_text = data.get("qasm")
         if not isinstance(qasm_text, str) or "OPENQASM" not in qasm_text:
             raise HTTPError(400, '"qasm" must be OpenQASM 2.0 source text')
-        target = _target_from_payload(data.get("target"))
-        options = (
-            TranspileOptions.from_dict(data["options"])
-            if isinstance(data.get("options"), dict)
-            else TranspileOptions()
-        )
-        return TranspileJob.from_spec(
-            qasm_text, target, options, name=str(data.get("name") or "")
+        options = data.get("options")
+        if options is not None and not isinstance(options, dict):
+            raise HTTPError(400, '"options" must be a JSON object or null')
+        return TranspileJob(
+            qasm_text,
+            _target_from_payload(data.get("target")),
+            TranspileOptions.from_dict(options or {}),
+            str(data.get("name") or ""),
         )
     except HTTPError:
         raise
@@ -561,13 +558,17 @@ def _target_from_payload(spec) -> Target:
     """Build a Target from a submission's ``target`` field.
 
     Accepts ``None`` (abstract all-to-all target), a ``Target.to_dict()`` form, or the
-    shorthand ``{"topology": "linear", "num_qubits": 25, "calibrated": false}``.
+    shorthand ``{"topology": "linear", "num_qubits": 25, "calibrated": false}``.  An
+    unknown key in either form is rejected.
     """
     if spec is None:
         return Target()
     if not isinstance(spec, dict):
         raise HTTPError(400, '"target" must be a JSON object or null')
     if "topology" in spec:
+        unknown = set(spec) - {"topology", "num_qubits", "calibrated", "final_basis"}
+        if unknown:
+            raise HTTPError(400, f"unknown target key(s): {', '.join(sorted(unknown))}")
         return Target.from_topology(
             str(spec["topology"]),
             int(spec.get("num_qubits", 25)),

@@ -262,8 +262,9 @@ class JobRunner:
         if self._pool is None or self.max_workers < 2:
             return None
         try:
-            trials = record.job.options().effective_best_of
-            supported = get_routing(record.job.routing).supports_best_of
+            options = record.job.options()
+            trials = options.effective_best_of
+            supported = get_routing(options.routing).supports_best_of
         except Exception:  # noqa: BLE001 - malformed jobs fail in the worker, not here
             return None
         if not supported or trials < self.ensemble_fanout_threshold:

@@ -15,7 +15,7 @@ the execution services real transpiler stacks ship above their circuit compilers
 
 from .cache import CacheStats, ResultCache
 from .executor import BatchTranspiler, default_worker_count, transpile_batch
-from .jobs import JobError, JobOutcome, TranspileJob, jobs_for_seeds
+from .jobs import JobError, JobOutcome, TranspileJob
 
 __all__ = [
     "BatchTranspiler",
@@ -25,6 +25,5 @@ __all__ = [
     "ResultCache",
     "TranspileJob",
     "default_worker_count",
-    "jobs_for_seeds",
     "transpile_batch",
 ]

@@ -35,7 +35,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .. import __version__
 from ..benchlib.suite import benchmark_names, table_benchmarks
@@ -93,20 +93,46 @@ def _build_parser() -> argparse.ArgumentParser:
     routings = available_routings()
     routed = tuple(name for name in routings if name != "none")
 
+    def add_compile_opts(p: argparse.ArgumentParser) -> None:
+        """The one-circuit compile flags shared by ``transpile`` and ``submit``."""
+        add_device(p)
+        p.add_argument("--routing", "-r", default="nassc", choices=routings,
+                       help="routing method (from the registry; default: nassc)")
+        p.add_argument("--level", "-O", default="O1", choices=OPTIMIZATION_LEVELS,
+                       help="preset optimization level (default: O1, the paper pipeline)")
+        p.add_argument("--seed", type=int, default=0, help="routing seed (default: 0)")
+        p.add_argument("--best-of", type=int, default=None, metavar="K",
+                       help="route K independently-seeded ensemble trials and keep the best "
+                            "(default: 1, or 4 at -O O3)")
+        p.add_argument("--noise-aware", action="store_true",
+                       help="use the HA distance matrix built from a synthetic calibration")
+        add_schedule_opts(p)
+        p.add_argument("--out", "-o", default="-",
+                       help="routed QASM output path (default: stdout)")
+        p.add_argument("--metrics", help="write a metrics JSON to this path ('-' for stdout)")
+        p.add_argument("--trace", metavar="PATH",
+                       help="trace the compile end to end and write a Chrome trace-event "
+                            "JSON here")
+
+    def add_server_opts(p: argparse.ArgumentParser, port: int) -> None:
+        """The listener and execution flags shared by ``serve`` and ``fleet worker``."""
+        p.add_argument("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)")
+        p.add_argument("--port", type=int, default=port,
+                       help=f"bind port, 0 picks an ephemeral one (default: {port})")
+        p.add_argument("--workers", "-w", type=int, default=None,
+                       help="worker pool size (default: all cores, capped at 8)")
+        p.add_argument("--concurrency", type=int, default=None,
+                       help="jobs in flight at once (default: the worker count)")
+        p.add_argument("--queue-bound", type=int, default=256,
+                       help="admission-control bound on queued+running jobs (default: 256)")
+        p.add_argument("--cache-dir", default=os.environ.get(CACHE_DIR_ENV),
+                       help="on-disk result cache directory (env: REPRO_CACHE_DIR)")
+        p.add_argument("--threads", action="store_true",
+                       help="execute jobs on threads instead of a process pool")
+
     p = sub.add_parser("transpile", help="compile one OpenQASM 2.0 file for a device")
     p.add_argument("input", help="input OpenQASM 2.0 file ('-' for stdin)")
-    add_device(p)
-    p.add_argument("--routing", "-r", default="nassc", choices=routings,
-                   help="routing method (from the registry; default: nassc)")
-    p.add_argument("--level", "-O", default="O1", choices=OPTIMIZATION_LEVELS,
-                   help="preset optimization level (default: O1, the paper pipeline)")
-    p.add_argument("--seed", type=int, default=0, help="routing seed (default: 0)")
-    p.add_argument("--best-of", type=int, default=None, metavar="K",
-                   help="route K independently-seeded ensemble trials and keep the best "
-                        "(default: 1, or 4 at -O O3)")
-    p.add_argument("--noise-aware", action="store_true",
-                   help="use the HA distance matrix built from a synthetic calibration")
-    add_schedule_opts(p)
+    add_compile_opts(p)
     p.add_argument("--stream", action="store_true",
                    help="stream the compile: chunked QASM ingest, windowed routing, "
                         "incremental routed-QASM emission in O(window) memory "
@@ -115,10 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="live routing window for --stream (default: 4096)")
     p.add_argument("--chunk-gates", type=int, default=None, metavar="N",
                    help="gates per emitted chunk for --stream (default: 1024)")
-    p.add_argument("--out", "-o", default="-", help="routed QASM output path (default: stdout)")
-    p.add_argument("--metrics", help="write a metrics JSON to this path ('-' for stdout)")
-    p.add_argument("--trace", metavar="PATH",
-                   help="trace the compile and write a Chrome trace-event JSON here")
     add_common(p, workers=False)
 
     p = sub.add_parser(
@@ -191,19 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=os.environ.get(CACHE_DIR_ENV), required=False)
 
     p = sub.add_parser("serve", help="run the online transpilation server")
-    p.add_argument("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)")
-    p.add_argument("--port", type=int, default=8000,
-                   help="bind port, 0 picks an ephemeral one (default: 8000)")
-    p.add_argument("--workers", "-w", type=int, default=None,
-                   help="worker pool size (default: all cores, capped at 8)")
-    p.add_argument("--concurrency", type=int, default=None,
-                   help="jobs in flight at once (default: the worker count)")
-    p.add_argument("--queue-bound", type=int, default=256,
-                   help="admission-control bound on queued+running jobs (default: 256)")
-    p.add_argument("--cache-dir", default=os.environ.get(CACHE_DIR_ENV),
-                   help="shared on-disk result cache directory (env: REPRO_CACHE_DIR)")
-    p.add_argument("--threads", action="store_true",
-                   help="execute jobs on threads instead of a process pool")
+    add_server_opts(p, port=8000)
 
     p = sub.add_parser("fleet", help="run a multi-node transpile fleet role")
     fleet_sub = p.add_subparsers(dest="fleet_role", required=True, metavar="ROLE")
@@ -227,21 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fw.add_argument("--coordinator", required=True, metavar="URL",
                     help="coordinator base URL, e.g. http://127.0.0.1:8100")
-    fw.add_argument("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)")
-    fw.add_argument("--port", type=int, default=0,
-                    help="bind port (default: 0 = ephemeral)")
+    add_server_opts(fw, port=0)
     fw.add_argument("--node-id", default=None,
                     help="stable node identity on the hash ring (default: random)")
-    fw.add_argument("--workers", "-w", type=int, default=None,
-                    help="worker pool size (default: all cores, capped at 8)")
-    fw.add_argument("--concurrency", type=int, default=None,
-                    help="jobs in flight at once (default: the worker count)")
-    fw.add_argument("--queue-bound", type=int, default=256,
-                    help="admission-control bound on queued+running jobs (default: 256)")
-    fw.add_argument("--cache-dir", default=os.environ.get(CACHE_DIR_ENV),
-                    help="on-disk result cache directory (env: REPRO_CACHE_DIR)")
-    fw.add_argument("--threads", action="store_true",
-                    help="execute jobs on threads instead of a process pool")
     fw.add_argument("--peer-replicas", type=int, default=2,
                     help="ring owners consulted on a local cache miss (default: 2)")
 
@@ -249,29 +247,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="input OpenQASM 2.0 file ('-' for stdin)")
     p.add_argument("--url", default=os.environ.get("REPRO_SERVER_URL", "http://127.0.0.1:8000"),
                    help="server base URL (env: REPRO_SERVER_URL; default: http://127.0.0.1:8000)")
-    add_device(p)
-    p.add_argument("--routing", "-r", default="nassc", choices=routings,
-                   help="routing method (default: nassc)")
-    p.add_argument("--level", "-O", default="O1", choices=OPTIMIZATION_LEVELS,
-                   help="preset optimization level (default: O1)")
-    p.add_argument("--seed", type=int, default=0, help="routing seed (default: 0)")
-    p.add_argument("--best-of", type=int, default=None, metavar="K",
-                   help="route K independently-seeded ensemble trials and keep the best "
-                        "(default: 1, or 4 at -O O3; large K fans across server workers)")
-    p.add_argument("--noise-aware", action="store_true",
-                   help="use the HA distance matrix built from a synthetic calibration")
-    add_schedule_opts(p)
+    add_compile_opts(p)
     p.add_argument("--priority", type=int, default=0,
                    help="scheduling priority, higher runs first (default: 0)")
     p.add_argument("--timeout", type=float, default=300.0,
                    help="seconds to wait for the result (default: 300)")
     p.add_argument("--events", action="store_true",
                    help="stream job state transitions to stderr while waiting")
-    p.add_argument("--out", "-o", default="-", help="routed QASM output path (default: stdout)")
-    p.add_argument("--metrics", help="write a metrics JSON to this path ('-' for stdout)")
-    p.add_argument("--trace", metavar="PATH",
-                   help="trace the submission end-to-end (client, queue wait, worker, "
-                        "per-pass spans) and write a Chrome trace-event JSON here")
 
     p = sub.add_parser("trace", help="inspect a trace file written by --trace / REPRO_TRACE")
     p.add_argument("file", help="Chrome trace JSON, {'spans': [...]} JSON, or JSONL file")
@@ -633,9 +615,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
     from ..server import ReproServer
 
     server = ReproServer(
@@ -647,45 +626,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         use_processes=not args.threads,
     )
-
-    async def _main() -> None:
-        host, port = await server.start()
-        print(
-            f"repro server listening on http://{host}:{port} "
-            f"(pool={server.runner.pool_kind} x{server.runner.max_workers}, "
-            f"concurrency={server.runner.concurrency}, queue bound={args.queue_bound}, "
-            f"cache dir={args.cache_dir or 'memory only'})",
-            file=sys.stderr,
-        )
-        loop = asyncio.get_running_loop()
-
-        def _shutdown() -> None:
-            print("shutting down (draining in-flight jobs)...", file=sys.stderr)
-            loop.create_task(server.stop())
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, _shutdown)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover - non-Unix
-                pass
-        await server.serve_forever()
-
-    asyncio.run(_main())
-    return 0
+    # The pool kind and size are settled only once start() has built the pool.
+    return _serve_until_signalled(server, lambda host, port: (
+        f"repro server listening on http://{host}:{port} "
+        f"(pool={server.runner.pool_kind} x{server.runner.max_workers}, "
+        f"concurrency={server.runner.concurrency}, queue bound={args.queue_bound}, "
+        f"cache dir={args.cache_dir or 'memory only'})"
+    ))
 
 
-def _serve_until_signalled(server, banner: str) -> int:
-    """Run any AsyncHTTPServer until SIGINT/SIGTERM, with a bound-address banner."""
+def _serve_until_signalled(server, banner: Callable[[str, int], str]) -> int:
+    """Run any AsyncHTTPServer until SIGINT/SIGTERM, printing ``banner(host, port)`` of
+    the bound address once it is listening."""
     import asyncio
     import signal
 
     async def _main() -> None:
         host, port = await server.start()
-        print(banner.format(host=host, port=port), file=sys.stderr)
+        print(banner(host, port), file=sys.stderr)
         loop = asyncio.get_running_loop()
 
         def _shutdown() -> None:
-            print("shutting down...", file=sys.stderr)
+            print("shutting down (draining in-flight jobs)...", file=sys.stderr)
             loop.create_task(server.stop())
 
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -710,11 +672,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_ttl=args.heartbeat_ttl,
         )
-        return _serve_until_signalled(
-            coordinator,
-            "repro fleet coordinator listening on http://{host}:{port} "
-            f"(replicas={args.replicas}, heartbeat={args.heartbeat_interval}s)",
-        )
+        return _serve_until_signalled(coordinator, lambda host, port: (
+            f"repro fleet coordinator listening on http://{host}:{port} "
+            f"(replicas={args.replicas}, heartbeat={args.heartbeat_interval}s)"
+        ))
 
     from ..fleet import FleetWorkerServer
 
@@ -730,11 +691,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         use_processes=not args.threads,
     )
-    return _serve_until_signalled(
-        worker,
-        f"repro fleet worker {worker.node_id} listening on http://{{host}}:{{port}} "
-        f"(coordinator={worker.coordinator_url})",
-    )
+    return _serve_until_signalled(worker, lambda host, port: (
+        f"repro fleet worker {worker.node_id} listening on http://{host}:{port} "
+        f"(coordinator={worker.coordinator_url})"
+    ))
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:

@@ -1,14 +1,16 @@
 """Job specifications for the batch transpilation service.
 
 A :class:`TranspileJob` is a fully self-contained, JSON-serialisable description of one
-``transpile()`` call: the circuit (as OpenQASM 2.0 text), the device
-:class:`~repro.hardware.target.Target`, and the
-:class:`~repro.core.options.TranspileOptions`.  Because the spec is pure data it can be
-shipped to worker processes, written to disk, and — crucially — content-addressed:
-:meth:`TranspileJob.fingerprint` hashes the canonical JSON form built from the target's
-and the options' ``content_dict()``, so two jobs that would produce byte-identical
-results share one fingerprint regardless of where or when they were built.  The
-fingerprint is the key of the service's result cache.
+``transpile()`` call: the circuit (as OpenQASM 2.0 text), one device
+:class:`~repro.hardware.target.Target` and one
+:class:`~repro.core.options.TranspileOptions`.  Its :meth:`~TranspileJob.to_dict` form
+``{"qasm", "target", "options", "name"}`` is the one wire format of a job: the body of
+``POST /v1/jobs``, the entries of ``/v1/batch``, what the fleet coordinator forwards and
+what both process pools ship to their workers.  Because the spec is pure data it is also
+content-addressed: :meth:`TranspileJob.fingerprint` hashes the canonical JSON form built
+from the target's and the options' ``content_dict()``, so two jobs that would produce
+byte-identical results share one fingerprint regardless of where or when they were
+built.  The fingerprint is the key of the service's result cache.
 
 The job's routing method is validated against the routing registry at construction, so a
 typo'd or unregistered method fails before any work is scheduled; third-party methods
@@ -20,16 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence
 
 from ..circuit import qasm
 from ..circuit.circuit import QuantumCircuit
-from ..core.nassc import NASSCConfig
-from ..core.options import TranspileOptions, normalize_level
-from ..core.pipeline import PIPELINE_VERSION, TranspileResult, transpile
-from ..hardware.calibration import DeviceCalibration
-from ..hardware.coupling import CouplingMap
+from ..core.options import TranspileOptions
+from ..core.pipeline import PIPELINE_VERSION, TranspileResult, resolve_target, transpile
+from ..exceptions import TranspilerError
 from ..hardware.target import Target
 from ..transpiler.registry import get_routing
 
@@ -45,172 +45,53 @@ FINGERPRINT_VERSION = 4
 class TranspileJob:
     """One unit of work for the batch transpiler (a single ``transpile()`` call).
 
-    All fields are plain JSON-compatible data; use :meth:`from_circuit` to build a job
-    from live objects (it accepts a :class:`Target` + :class:`TranspileOptions` pair or
-    the legacy flat kwargs).  ``name`` is a display label only and does not enter the
-    fingerprint, so identically-configured jobs share cache entries whatever they are
-    called.
+    ``device`` and ``settings`` are the compile's :class:`Target` and
+    :class:`TranspileOptions`, read through :meth:`target` and :meth:`options`; a
+    ``None`` device is the abstract all-to-all target.  ``name`` is a display label only
+    and does not enter the fingerprint, so identically-configured jobs share cache
+    entries whatever they are called.
     """
 
     qasm: str
-    routing: str = "sabre"
-    level: str = "O1"
-    coupling_map: Optional[Dict] = None  # CouplingMap.to_dict() form
-    seed: Optional[int] = None
-    nassc_config: Optional[Tuple[bool, bool, bool]] = None
-    noise_aware: bool = False
-    calibration: Optional[Dict] = None  # DeviceCalibration.to_dict() form
-    extended_set_size: int = 20
-    extended_set_weight: float = 0.5
-    layout_iterations: int = 2
-    final_basis: str = "zsx"
-    #: Best-of-N ensemble trial count (None = preset default; see TranspileOptions).
-    best_of: Optional[int] = None
-    #: Schedule mode ("asap"/"alap") or None for no schedule stage.
-    schedule: Optional[str] = None
-    #: Routing cost model ("hops" or "ns").
-    route_cost: str = "hops"
+    device: Target = field(default_factory=Target)
+    settings: TranspileOptions = field(default_factory=TranspileOptions)
     name: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "level", normalize_level(self.level))
-        get_routing(self.routing)  # validate against the registry; raises TranspilerError
-
-    # -- construction -------------------------------------------------------
+        object.__setattr__(self, "device", resolve_target(self.device))
+        if not isinstance(self.settings, TranspileOptions):
+            raise TranspilerError(
+                f"options must be a TranspileOptions, got {type(self.settings).__name__}"
+            )
+        get_routing(self.settings.routing)  # validate against the registry; raises TranspilerError
 
     @classmethod
     def from_circuit(
         cls,
         circuit: QuantumCircuit,
-        target: Union[Target, CouplingMap, None] = None,
-        options: Optional[TranspileOptions] = None,
-        *,
-        routing: Optional[str] = None,
-        level: Optional[str] = None,
-        seed: Optional[int] = None,
-        nassc_config: Optional[NASSCConfig] = None,
-        calibration: Optional[DeviceCalibration] = None,
-        noise_aware: Optional[bool] = None,
-        name: Optional[str] = None,
-        coupling_map: Optional[CouplingMap] = None,
-        **kwargs,
-    ) -> "TranspileJob":
-        """Build a job spec from live objects (mirrors ``transpile()``'s signature).
-
-        ``target`` may be a :class:`Target`, a bare :class:`CouplingMap` (legacy —
-        the historical ``coupling_map=`` keyword also still works), or ``None``;
-        keyword overrides win over the corresponding ``options`` fields.
-        """
-        if coupling_map is not None:
-            if target is not None:
-                raise TypeError("pass either target or the legacy coupling_map, not both")
-            target = coupling_map
-        if isinstance(target, Target):
-            if calibration is not None:
-                raise TypeError("pass calibration on the Target, not as a kwarg")
-            if "final_basis" in kwargs:
-                raise TypeError("pass final_basis on the Target, not as a kwarg")
-            device, device_calibration = target.coupling_map, target.calibration
-            final_basis = target.final_basis
-        else:
-            device, device_calibration = target, calibration
-            final_basis = kwargs.pop("final_basis", "zsx")
-
-        opts = options if options is not None else TranspileOptions()
-        overrides = {
-            key: value
-            for key, value in {
-                "routing": routing, "level": level, "seed": seed,
-                "nassc_config": nassc_config, "noise_aware": noise_aware,
-            }.items()
-            if value is not None
-        }
-        for knob in ("extended_set_size", "extended_set_weight", "layout_iterations",
-                     "best_of", "schedule", "route_cost"):
-            if knob in kwargs:
-                overrides[knob] = kwargs.pop(knob)
-        if overrides:
-            opts = opts.replace(**overrides)
-        if kwargs:
-            raise TypeError(
-                f"from_circuit() got unexpected keyword arguments: {sorted(kwargs)}"
-            )
-
-        return cls.from_spec(
-            qasm.dumps(circuit),
-            Target(
-                coupling_map=device,
-                calibration=device_calibration,
-                final_basis=final_basis,
-            ),
-            opts,
-            name=name if name is not None else (circuit.name or ""),
-        )
-
-    @classmethod
-    def from_spec(
-        cls,
-        qasm_text: str,
         target: Optional[Target] = None,
         options: Optional[TranspileOptions] = None,
         *,
-        name: str = "",
+        name: Optional[str] = None,
+        **overrides,
     ) -> "TranspileJob":
-        """Build a job from OpenQASM text plus a Target/Options pair (no circuit parse).
+        """Build a job spec from live objects (mirrors ``transpile()``'s signature).
 
-        The one place that flattens ``Target`` + ``TranspileOptions`` into the job's
-        fields — the HTTP server's JSON submissions and any other text-first caller go
-        through here so they cannot drift from :meth:`from_circuit` (which delegates to
-        this after serialising the circuit).
+        Keyword ``overrides`` replace the corresponding ``options`` fields.
         """
-        target = target if target is not None else Target()
-        opts = options if options is not None else TranspileOptions()
-        return cls(
-            qasm=qasm_text,
-            routing=opts.routing,
-            level=opts.level,
-            coupling_map=target.coupling_map.to_dict() if target.coupling_map else None,
-            seed=opts.seed,
-            nassc_config=opts.nassc_config.as_tuple() if opts.nassc_config else None,
-            noise_aware=opts.noise_aware,
-            calibration=target.calibration.to_dict() if target.calibration else None,
-            extended_set_size=opts.extended_set_size,
-            extended_set_weight=opts.extended_set_weight,
-            layout_iterations=opts.layout_iterations,
-            final_basis=target.final_basis,
-            best_of=opts.best_of,
-            schedule=opts.schedule,
-            route_cost=opts.route_cost,
-            name=name,
-        )
-
-    # -- live objects -------------------------------------------------------
+        settings = options if options is not None else TranspileOptions()
+        if overrides:
+            settings = settings.replace(**overrides)
+        label = name if name is not None else (circuit.name or "")
+        return cls(qasm.dumps(circuit), target, settings, label)
 
     def target(self) -> Target:
-        """The compilation target described by this job's device fields."""
-        return Target(
-            coupling_map=CouplingMap.from_dict(self.coupling_map) if self.coupling_map else None,
-            calibration=(
-                DeviceCalibration.from_dict(self.calibration) if self.calibration else None
-            ),
-            final_basis=self.final_basis,
-        )
+        """The compilation target."""
+        return self.device
 
     def options(self) -> TranspileOptions:
-        """The compilation options described by this job's option fields."""
-        return TranspileOptions(
-            routing=self.routing,
-            level=self.level,
-            seed=self.seed,
-            nassc_config=NASSCConfig(*self.nassc_config) if self.nassc_config else None,
-            noise_aware=self.noise_aware,
-            extended_set_size=self.extended_set_size,
-            extended_set_weight=self.extended_set_weight,
-            layout_iterations=self.layout_iterations,
-            best_of=self.best_of,
-            schedule=self.schedule,
-            route_cost=self.route_cost,
-        )
+        """The compilation options."""
+        return self.settings
 
     # -- content addressing -------------------------------------------------
 
@@ -225,8 +106,8 @@ class TranspileJob:
             "version": FINGERPRINT_VERSION,
             "pipeline_version": PIPELINE_VERSION,
             "qasm": self.qasm,
-            "target": self.target().content_dict(),
-            "options": self.options().content_dict(),
+            "target": self.device.content_dict(),
+            "options": self.settings.content_dict(),
         }
 
     def fingerprint(self) -> str:
@@ -243,50 +124,23 @@ class TranspileJob:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> Dict:
-        """Flat JSON form (kept schema-compatible with pre-Target job specs, plus ``level``)."""
+        """The job's wire form ``{"qasm", "target", "options", "name"}`` (see module docstring)."""
         return {
             "qasm": self.qasm,
-            "routing": self.routing,
-            "level": self.level,
-            "coupling_map": self.coupling_map,
-            "seed": self.seed,
-            "nassc_config": list(self.nassc_config) if self.nassc_config else None,
-            "noise_aware": self.noise_aware,
-            "calibration": self.calibration,
-            "extended_set_size": self.extended_set_size,
-            "extended_set_weight": self.extended_set_weight,
-            "layout_iterations": self.layout_iterations,
-            "final_basis": self.final_basis,
-            "best_of": self.best_of,
-            "schedule": self.schedule,
-            "route_cost": self.route_cost,
+            "target": self.device.to_dict(),
+            "options": self.settings.to_dict(),
             "name": self.name,
         }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "TranspileJob":
-        nassc = data.get("nassc_config")
+        """Rebuild a job from :meth:`to_dict` output."""
         return cls(
-            qasm=data["qasm"],
-            routing=data.get("routing", "sabre"),
-            level=data.get("level", "O1"),
-            coupling_map=data.get("coupling_map"),
-            seed=data.get("seed"),
-            nassc_config=tuple(nassc) if nassc else None,
-            noise_aware=data.get("noise_aware", False),
-            calibration=data.get("calibration"),
-            extended_set_size=data.get("extended_set_size", 20),
-            extended_set_weight=data.get("extended_set_weight", 0.5),
-            layout_iterations=data.get("layout_iterations", 2),
-            final_basis=data.get("final_basis", "zsx"),
-            best_of=data.get("best_of"),
-            schedule=data.get("schedule"),
-            route_cost=data.get("route_cost", "hops"),
-            name=data.get("name", ""),
+            data["qasm"],
+            Target.from_dict(data["target"]),
+            TranspileOptions.from_dict(data["options"]),
+            data.get("name", ""),
         )
-
-    def with_name(self, name: str) -> "TranspileJob":
-        return replace(self, name=name)
 
     # -- execution ----------------------------------------------------------
 
@@ -304,7 +158,7 @@ class TranspileJob:
         subset results by their ensemble winner key reproduces the full run's winner.
         """
         return transpile(
-            self.build_circuit(), self.target(), self.options(), _trial_subset=trial_subset
+            self.build_circuit(), self.device, self.settings, _trial_subset=trial_subset
         )
 
 
@@ -363,15 +217,3 @@ class JobOutcome:
         assert self.result is not None
         return self.result
 
-
-def jobs_for_seeds(
-    circuit: QuantumCircuit,
-    target: Union[Target, CouplingMap, None],
-    seeds: Sequence[int],
-    **kwargs,
-) -> list:
-    """Convenience fan-out: one job per seed (the paper averages over routing seeds)."""
-    return [
-        TranspileJob.from_circuit(circuit, target, seed=seed, **kwargs)
-        for seed in seeds
-    ]

@@ -10,7 +10,7 @@ import pytest
 
 from repro.circuit import QuantumCircuit
 from repro.core import transpile
-from repro.hardware import linear_coupling_map
+from repro.hardware import Target, linear_coupling_map
 from repro.synthesis import cnot_count
 from repro.transpiler import PassManager
 from repro.transpiler.passes import CommutativeCancellation, SwapLowering, UnitarySynthesis
@@ -130,8 +130,8 @@ class TestFigure4:
 class TestEndToEndMotivation:
     def test_nassc_beats_sabre_on_figure1_style_workload(self):
         """Routing the Fig. 1 workload with NASSC should not cost more CNOTs than SABRE."""
-        coupling = linear_coupling_map(3)
+        target = Target(coupling_map=linear_coupling_map(3))
         circuit = figure1_logical_circuit()
-        sabre = transpile(circuit, coupling, routing="sabre", seed=0)
-        nassc = transpile(circuit, coupling, routing="nassc", seed=0)
+        sabre = transpile(circuit, target, routing="sabre", seed=0)
+        nassc = transpile(circuit, target, routing="nassc", seed=0)
         assert nassc.cx_count <= sabre.cx_count

@@ -9,6 +9,7 @@ from repro.core import NASSCConfig, compare_routings, optimize_logical, transpil
 from repro.evaluation.metrics import is_equivalent_after_routing, routed_state_fidelity
 from repro.exceptions import TranspilerError
 from repro.hardware import (
+    Target,
     fake_montreal_calibration,
     grid_coupling_map,
     linear_coupling_map,
@@ -29,7 +30,9 @@ SMALL_BENCHMARKS = [
 class TestTranspileBasics:
     def test_unknown_routing_rejected(self):
         with pytest.raises(TranspilerError):
-            transpile(QuantumCircuit(2), linear_coupling_map(3), routing="magic")
+            transpile(
+                QuantumCircuit(2), Target(coupling_map=linear_coupling_map(3)), routing="magic"
+            )
 
     def test_coupling_map_required(self):
         with pytest.raises(TranspilerError):
@@ -37,7 +40,10 @@ class TestTranspileBasics:
 
     def test_noise_aware_requires_calibration(self):
         with pytest.raises(TranspilerError):
-            transpile(QuantumCircuit(2), linear_coupling_map(3), routing="sabre", noise_aware=True)
+            transpile(
+                QuantumCircuit(2), Target(coupling_map=linear_coupling_map(3)),
+                routing="sabre", noise_aware=True,
+            )
 
     def test_routing_none_only_optimizes(self):
         circuit = grover_n4()
@@ -49,13 +55,13 @@ class TestTranspileBasics:
         circuit = QuantumCircuit(3)
         circuit.h(0)
         circuit.ccx(0, 1, 2)
-        result = transpile(circuit, linear5, routing="sabre", seed=0)
+        result = transpile(circuit, Target(coupling_map=linear5), routing="sabre", seed=0)
         names = {inst.name for inst in result.circuit.data}
         assert names <= {"cx", "rz", "sx", "x", "barrier", "measure"}
 
     def test_result_metrics_consistent(self, linear5):
         circuit = grover_n4()
-        result = transpile(circuit, linear5, routing="nassc", seed=0)
+        result = transpile(circuit, Target(coupling_map=linear5), routing="nassc", seed=0)
         assert result.cx_count == result.circuit.cx_count()
         assert result.depth == result.circuit.depth()
         assert result.transpile_time > 0
@@ -67,7 +73,7 @@ class TestTranspileBasics:
         assert optimized.cx_count() <= circuit.cx_count()
 
     def test_compare_routings_returns_both(self, linear5):
-        results = compare_routings(grover_n4(), linear5, seed=0)
+        results = compare_routings(grover_n4(), Target(coupling_map=linear5), seed=0)
         assert set(results) == {"sabre", "nassc"}
 
 
@@ -76,14 +82,14 @@ class TestPipelineCorrectness:
     @pytest.mark.parametrize("routing", ["sabre", "nassc"])
     def test_benchmarks_preserved_on_linear_topology(self, name, circuit, routing):
         coupling = linear_coupling_map(max(circuit.num_qubits + 1, 6))
-        result = transpile(circuit, coupling, routing=routing, seed=0)
+        result = transpile(circuit, Target(coupling_map=coupling), routing=routing, seed=0)
         assert not coupling_violations(result.circuit, coupling)
         assert is_equivalent_after_routing(circuit, result)
 
     @pytest.mark.parametrize("routing", ["sabre", "nassc"])
     def test_benchmarks_preserved_on_montreal(self, routing, montreal):
         circuit = grover_n4()
-        result = transpile(circuit, montreal, routing=routing, seed=1)
+        result = transpile(circuit, Target(coupling_map=montreal), routing=routing, seed=1)
         assert not coupling_violations(result.circuit, montreal)
         assert is_equivalent_after_routing(circuit, result)
 
@@ -91,7 +97,7 @@ class TestPipelineCorrectness:
     def test_random_circuits_preserved(self, seed, grid9):
         circuit = random_circuit(6, 6, seed=seed)
         for routing in ("sabre", "nassc"):
-            result = transpile(circuit, grid9, routing=routing, seed=seed)
+            result = transpile(circuit, Target(coupling_map=grid9), routing=routing, seed=seed)
             assert routed_state_fidelity(circuit, result) > 1 - 1e-6
 
     def test_noise_aware_pipelines_preserved(self, montreal):
@@ -99,8 +105,8 @@ class TestPipelineCorrectness:
         circuit = bv_n5()
         for routing in ("sabre", "nassc"):
             result = transpile(
-                circuit, montreal, routing=routing, seed=0,
-                noise_aware=True, calibration=calibration,
+                circuit, Target(coupling_map=montreal, calibration=calibration),
+                routing=routing, seed=0, noise_aware=True,
             )
             assert is_equivalent_after_routing(circuit, result)
 
@@ -110,35 +116,39 @@ class TestPipelineCorrectness:
         circuit.cx(0, 2)
         for q in range(3):
             circuit.measure(q, q)
-        result = transpile(circuit, linear5, routing="nassc", seed=0)
+        result = transpile(circuit, Target(coupling_map=linear5), routing="nassc", seed=0)
         assert result.circuit.count_gate("measure") == 3
 
 
 class TestPipelineQuality:
     def test_nassc_reduces_added_cnots_on_structured_benchmarks(self, montreal):
         """The paper's headline claim, on a subset: NASSC adds fewer CNOTs than SABRE."""
+        target = Target(coupling_map=montreal)
         total_sabre = 0.0
         total_nassc = 0.0
         for circuit in (grover_n4(), vqe_ansatz(6, reps=2), adder_n10()):
             original = optimize_logical(circuit).cx_count()
             for seed in (0, 1):
-                sabre = transpile(circuit, montreal, routing="sabre", seed=seed)
-                nassc = transpile(circuit, montreal, routing="nassc", seed=seed)
+                sabre = transpile(circuit, target, routing="sabre", seed=seed)
+                nassc = transpile(circuit, target, routing="nassc", seed=seed)
                 total_sabre += sabre.cx_count - original
                 total_nassc += nassc.cx_count - original
         assert total_nassc < total_sabre
 
     def test_nassc_never_catastrophically_worse(self, linear10):
         circuit = qft(6)
-        sabre = transpile(circuit, linear10, routing="sabre", seed=0)
-        nassc = transpile(circuit, linear10, routing="nassc", seed=0)
+        sabre = transpile(circuit, Target(coupling_map=linear10), routing="sabre", seed=0)
+        nassc = transpile(circuit, Target(coupling_map=linear10), routing="nassc", seed=0)
         assert nassc.cx_count <= 2 * sabre.cx_count
 
     def test_ablation_configs_all_run(self, linear5):
         circuit = grover_n4()
         counts = []
         for config in NASSCConfig.all_combinations():
-            result = transpile(circuit, linear5, routing="nassc", seed=0, nassc_config=config)
+            result = transpile(
+                circuit, Target(coupling_map=linear5), routing="nassc", seed=0,
+                nassc_config=config,
+            )
             counts.append(result.cx_count)
             assert is_equivalent_after_routing(circuit, result)
         assert min(counts) > 0
@@ -147,6 +157,6 @@ class TestPipelineQuality:
         circuit = QuantumCircuit(3)
         circuit.cx(0, 1)
         circuit.cx(1, 2)
-        result = transpile(circuit, linear5, routing="nassc", seed=0)
+        result = transpile(circuit, Target(coupling_map=linear5), routing="nassc", seed=0)
         assert result.num_swaps == 0
         assert result.cx_count <= 2

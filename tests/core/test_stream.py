@@ -74,6 +74,12 @@ class TestValidation:
         with pytest.raises(TranspilerError, match="router"):
             next(transpile_stream(circ, Target(), options=opts))
 
+    def test_rejects_bare_coupling_map(self):
+        circ = random_circuit(4, 3, seed=0)
+        opts = TranspileOptions(routing="sabre", **O0)
+        with pytest.raises(TranspilerError, match=r"Target\(coupling_map=\.\.\.\)"):
+            next(transpile_stream(circ, GRID_TARGET.coupling_map, options=opts))
+
     def test_bare_iterable_needs_num_qubits(self):
         opts = TranspileOptions(routing="sabre", **O0)
         source = random_circuit_stream(4, 10, seed=0)

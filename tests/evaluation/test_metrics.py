@@ -13,7 +13,7 @@ from repro.evaluation import (
     percentage_change,
     routed_state_fidelity,
 )
-from repro.hardware import linear_coupling_map
+from repro.hardware import Target, linear_coupling_map
 
 
 class TestScalarMetrics:
@@ -46,9 +46,9 @@ class TestScalarMetrics:
 class TestRoutingMetrics:
     def test_collect_metrics_fields(self):
         circuit = grover_n4()
-        coupling = linear_coupling_map(5)
+        target = Target(coupling_map=linear_coupling_map(5))
         optimized = optimize_logical(circuit)
-        result = transpile(circuit, coupling, routing="sabre", seed=0)
+        result = transpile(circuit, target, routing="sabre", seed=0)
         metrics = collect_metrics("grover_n4", circuit, optimized, result)
         assert metrics.added_cx == result.cx_count - optimized.cx_count()
         assert metrics.added_depth == result.depth - optimized.depth()
@@ -58,16 +58,16 @@ class TestRoutingMetrics:
         circuit = QuantumCircuit(3)
         circuit.h(0)
         circuit.cx(0, 1)
-        coupling = linear_coupling_map(4)
-        result = transpile(circuit, coupling, routing="sabre", seed=0)
+        target = Target(coupling_map=linear_coupling_map(4))
+        result = transpile(circuit, target, routing="sabre", seed=0)
         assert routed_state_fidelity(circuit, result) == pytest.approx(1.0, abs=1e-7)
         assert is_equivalent_after_routing(circuit, result)
 
     def test_fidelity_detects_corruption(self):
         circuit = QuantumCircuit(2)
         circuit.x(0)
-        coupling = linear_coupling_map(3)
-        result = transpile(circuit, coupling, routing="sabre", seed=0)
+        target = Target(coupling_map=linear_coupling_map(3))
+        result = transpile(circuit, target, routing="sabre", seed=0)
         # Corrupt the routed circuit on purpose.
         result.circuit.x(result.final_layout.physical(0))
         assert routed_state_fidelity(circuit, result) < 0.5

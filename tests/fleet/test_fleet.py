@@ -82,7 +82,8 @@ def crash(handle: ThreadedServer) -> None:
     async def _die():
         if server._heartbeat_task is not None:
             server._heartbeat_task.cancel()
-        server.registered = False  # the coordinator must detect this, not be told
+        # The coordinator must detect this, not be told.
+        server.registered = server.register_sent = False
         if server._server is not None:
             server._server.close()
 
@@ -96,6 +97,12 @@ def fleet():
     workers = [start_worker(coordinator.url, f"node-{i}") for i in range(2)]
     client = ReproClient(coordinator.url, client_id="fleet-tests")
     wait_for_nodes(client, 2)
+    # A worker mirrors the membership one heartbeat after the coordinator sees it: the
+    # node that registered first holds only itself until then, so wait for every peer
+    # ring to hold the other node before a test relies on peer fetch.
+    assert wait_for(
+        lambda: all(w.server.peer_cache.peers_for("0" * 64) for w in workers)
+    ), "worker peer rings never converged"
     yield {"coordinator": coordinator, "workers": workers, "client": client}
     for handle in workers:
         try:
@@ -295,6 +302,33 @@ class TestFailover:
             )
         finally:
             w0.stop(drain=False, timeout=5)
+            coordinator.stop(timeout=5)
+
+    def test_stop_before_register_reply_still_deregisters(self, monkeypatch):
+        """A stop that lands after the coordinator recorded the node, but before the
+        worker read the register reply, must still deregister it."""
+        from repro.fleet import httpclient
+
+        fetch_json = httpclient.fetch_json
+
+        async def slow_register_reply(base_url, method, path, **kwargs):
+            reply = await fetch_json(base_url, method, path, **kwargs)
+            if path == "/fleet/v1/register":
+                await asyncio.sleep(1.0)
+            return reply
+
+        monkeypatch.setattr(httpclient, "fetch_json", slow_register_reply)
+        coordinator = start_coordinator()
+        worker = start_worker(coordinator.url, "early-leaver")
+        client = ReproClient(coordinator.url)
+        try:
+            assert wait_for(lambda: client.healthz()["nodes"] == 1)
+            assert not worker.server.registered  # the reply is still in flight
+            worker.stop(timeout=10)
+            assert wait_for(lambda: client.healthz()["nodes"] == 0), (
+                "a node the coordinator recorded must be deregistered on stop"
+            )
+        finally:
             coordinator.stop(timeout=5)
 
     def test_failed_deregister_is_counted_and_warned(self, capsys):

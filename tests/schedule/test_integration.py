@@ -136,8 +136,8 @@ class TestServiceLayer:
             schedule="alap", route_cost="ns", name="timed",
         )
         rebuilt = TranspileJob.from_dict(job.to_dict())
-        assert rebuilt.schedule == "alap"
-        assert rebuilt.route_cost == "ns"
+        assert rebuilt.options().schedule == "alap"
+        assert rebuilt.options().route_cost == "ns"
         assert rebuilt.fingerprint() == job.fingerprint()
 
     def test_fingerprint_sensitive_to_schedule(self):

@@ -221,9 +221,9 @@ class TestBackpressureAndCancellation:
             for seed in range(2)
         ]
         assert handles
-        payload = {"job": TranspileJob.from_circuit(
+        payload = TranspileJob.from_circuit(
             small_circuit(), target, TranspileOptions(routing="sabre", seed=98)
-        ).to_dict()}
+        ).to_dict()
         status, body, headers = raw_request(
             frozen, "POST", "/v1/jobs", body=json.dumps(payload),
         )
@@ -281,6 +281,40 @@ class TestErrorHandling:
         status, body, _ = raw_request(live, "POST", "/v1/jobs", body=json.dumps(payload))
         assert status == 400
         assert "teleport" in json.loads(body)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "field,spec,unknown",
+        [
+            ("options", {"routng": "nassc", "sed": 4}, "routng"),
+            ("target", {"topology": "linear", "num_qubits": 5, "calibrate": True}, "calibrate"),
+            ("target", dict(Target.from_topology("linear", 5).to_dict(), calibrate=True),
+             "calibrate"),
+        ],
+        ids=["options", "target-shorthand", "target-dict"],
+    )
+    def test_unknown_spec_key_400(self, live, field, spec, unknown):
+        """A misspelt knob is refused by name, never compiled with its default."""
+        payload = {"qasm": qasm.dumps(small_circuit()), field: spec}
+        status, body, _ = raw_request(live, "POST", "/v1/jobs", body=json.dumps(payload))
+        assert status == 400
+        assert unknown in json.loads(body)["error"]["message"]
+
+    def test_job_envelope_400(self, live):
+        """A ``{"job": {...}}`` envelope is refused, not run as a default job."""
+        job = TranspileJob.from_circuit(
+            small_circuit(), linear_target(), TranspileOptions(routing="nassc", seed=5)
+        )
+        status, _, _ = raw_request(
+            live, "POST", "/v1/jobs", body=json.dumps({"job": job.to_dict()})
+        )
+        assert status == 400
+
+    def test_submit_rejects_bare_coupling_map(self, live):
+        from repro import linear_coupling_map
+        from repro.exceptions import TranspilerError
+
+        with pytest.raises(TranspilerError, match=r"Target\(coupling_map=\.\.\.\)"):
+            live.client().submit(small_circuit(), linear_coupling_map(5))
 
     def test_unknown_job_404(self, live):
         with pytest.raises(ServerError) as excinfo:

@@ -74,6 +74,31 @@ class TestTranspileCommand:
         assert "OPENQASM 2.0;" in capsys.readouterr().out
 
 
+class TestSharedFlags:
+    def test_paired_commands_parse_the_same_defaults(self):
+        """transpile/submit and serve/fleet worker declare each shared flag once."""
+        from repro.service.cli import _build_parser
+
+        parser = _build_parser()
+
+        def defaults(argv, names):
+            args = vars(parser.parse_args(argv))
+            return {name: args[name] for name in names}
+
+        compile_flags = [
+            "device", "num_qubits", "routing", "level", "seed", "best_of", "noise_aware",
+            "schedule", "route_cost", "out", "metrics", "trace",
+        ]
+        assert defaults(["transpile", "in.qasm"], compile_flags) == defaults(
+            ["submit", "in.qasm"], compile_flags
+        )
+        server_flags = ["host", "workers", "concurrency", "queue_bound", "cache_dir", "threads"]
+        worker = ["fleet", "worker", "--coordinator", "http://127.0.0.1:8100"]
+        assert defaults(["serve"], server_flags) == defaults(worker, server_flags)
+        assert parser.parse_args(["serve"]).port == 8000
+        assert parser.parse_args(worker).port == 0
+
+
 class TestTableCommand:
     def test_report_and_artifacts(self, tmp_path, capsys):
         csv_path = tmp_path / "table.csv"
@@ -234,7 +259,7 @@ class TestCustomRouterThroughService:
     def test_batch_executor_runs_custom_router(self):
         from repro.service.jobs import TranspileJob
         from repro.transpiler.registry import unregister_routing
-        from repro.hardware import linear_coupling_map
+        from repro.hardware import Target, linear_coupling_map
 
         self._register("custom_batch")
         try:
@@ -242,7 +267,8 @@ class TestCustomRouterThroughService:
             circuit.h(0)
             circuit.cx(0, 2)
             job = TranspileJob.from_circuit(
-                circuit, linear_coupling_map(3), routing="custom_batch", seed=0
+                circuit, Target(coupling_map=linear_coupling_map(3)), routing="custom_batch",
+                seed=0,
             )
             executor = BatchTranspiler(max_workers=1)
             first = executor.run([job])[0]

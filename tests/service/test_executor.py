@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import QuantumCircuit, linear_coupling_map
+from repro import QuantumCircuit, Target, linear_coupling_map
 from repro.circuit import qasm
 from repro.service import BatchTranspiler, ResultCache, TranspileJob, transpile_batch
 
@@ -18,10 +18,10 @@ def small_circuit() -> QuantumCircuit:
 
 
 def batch_jobs(seeds=(0, 1)) -> list:
-    coupling = linear_coupling_map(5)
+    target = Target(coupling_map=linear_coupling_map(5))
     circuit = small_circuit()
     return [
-        TranspileJob.from_circuit(circuit, coupling, routing=routing, seed=seed)
+        TranspileJob.from_circuit(circuit, target, routing=routing, seed=seed)
         for routing in ("sabre", "nassc")
         for seed in seeds
     ]
@@ -86,10 +86,10 @@ class TestCaching:
 
 class TestErrorIsolation:
     def test_failed_job_does_not_kill_the_batch(self):
-        coupling = linear_coupling_map(5)
+        target = Target(coupling_map=linear_coupling_map(5))
         too_big = QuantumCircuit(6)
         too_big.cx(0, 5)
-        bad = TranspileJob.from_circuit(too_big, coupling, routing="sabre", seed=0)
+        bad = TranspileJob.from_circuit(too_big, target, routing="sabre", seed=0)
         jobs = [bad] + batch_jobs(seeds=(0,))
         for workers in (1, 2):
             outcomes = BatchTranspiler(max_workers=workers).run(jobs)
@@ -99,10 +99,10 @@ class TestErrorIsolation:
             assert all(o.ok for o in outcomes[1:])
 
     def test_unwrap_raises_with_job_context(self):
-        coupling = linear_coupling_map(5)
+        target = Target(coupling_map=linear_coupling_map(5))
         too_big = QuantumCircuit(6, name="too_big")
         too_big.cx(0, 5)
-        bad = TranspileJob.from_circuit(too_big, coupling, routing="sabre", seed=0)
+        bad = TranspileJob.from_circuit(too_big, target, routing="sabre", seed=0)
         outcome = BatchTranspiler(max_workers=1).run_one(bad)
         with pytest.raises(RuntimeError, match="too_big"):
             outcome.unwrap()
@@ -110,10 +110,10 @@ class TestErrorIsolation:
     def test_worker_traceback_propagates_into_outcome(self):
         """The full worker-side traceback must cross the process boundary so the online
         server can return actionable error bodies, not bare exception class names."""
-        coupling = linear_coupling_map(5)
+        target = Target(coupling_map=linear_coupling_map(5))
         too_big = QuantumCircuit(6, name="too_big")
         too_big.cx(0, 5)
-        bad = TranspileJob.from_circuit(too_big, coupling, routing="sabre", seed=0)
+        bad = TranspileJob.from_circuit(too_big, target, routing="sabre", seed=0)
         for workers in (1, 2):
             # workers=2 with a multi-job batch forces the real process-pool path, so the
             # traceback demonstrably crosses the process boundary.
@@ -129,10 +129,10 @@ class TestErrorIsolation:
             assert JobError.from_dict(outcome.error.to_dict()).traceback == outcome.error.traceback
 
     def test_errors_are_not_cached(self):
-        coupling = linear_coupling_map(5)
+        target = Target(coupling_map=linear_coupling_map(5))
         too_big = QuantumCircuit(6)
         too_big.cx(0, 5)
-        bad = TranspileJob.from_circuit(too_big, coupling, routing="sabre", seed=0)
+        bad = TranspileJob.from_circuit(too_big, target, routing="sabre", seed=0)
         executor = BatchTranspiler(max_workers=1)
         executor.run([bad])
         assert executor.stats.stores == 0
@@ -165,9 +165,9 @@ class TestProgressAndHelpers:
 
     def test_cached_results_carry_each_jobs_own_name(self):
         """Dedup/cache shares payloads between identical jobs, but never their labels."""
-        coupling = linear_coupling_map(5)
-        job_a = TranspileJob.from_circuit(small_circuit(), coupling, seed=0, name="first")
-        job_b = TranspileJob.from_circuit(small_circuit(), coupling, seed=0, name="second")
+        target = Target(coupling_map=linear_coupling_map(5))
+        job_a = TranspileJob.from_circuit(small_circuit(), target, seed=0, name="first")
+        job_b = TranspileJob.from_circuit(small_circuit(), target, seed=0, name="second")
         assert job_a.fingerprint() == job_b.fingerprint()
         outcomes = BatchTranspiler(max_workers=1).run([job_a, job_b])
         assert outcomes[1].from_cache or outcomes[1].ok

@@ -8,11 +8,13 @@ import sys
 import pytest
 
 from repro import QuantumCircuit, Target, TranspileOptions, linear_coupling_map
+from repro.benchlib.suite import get_benchmark
+from repro.circuit import qasm
 from repro.core.nassc import NASSCConfig
 from repro.core.pipeline import TranspileResult, transpile
 from repro.exceptions import TranspilerError
-from repro.hardware.calibration import fake_montreal_calibration
-from repro.hardware.topologies import montreal_coupling_map
+from repro.hardware.calibration import fake_montreal_calibration, synthetic_calibration
+from repro.hardware.topologies import get_topology, montreal_coupling_map
 from repro.service.jobs import JobError, TranspileJob
 
 
@@ -25,17 +27,21 @@ def small_circuit(name: str = "small") -> QuantumCircuit:
     return circuit
 
 
+def linear_target(qubits: int = 5) -> Target:
+    return Target(coupling_map=linear_coupling_map(qubits))
+
+
 class TestFingerprint:
     def test_deterministic_for_identical_content(self):
-        coupling = linear_coupling_map(5)
-        job_a = TranspileJob.from_circuit(small_circuit(), coupling, routing="sabre", seed=0)
-        job_b = TranspileJob.from_circuit(small_circuit(), coupling, routing="sabre", seed=0)
+        target = linear_target()
+        job_a = TranspileJob.from_circuit(small_circuit(), target, routing="sabre", seed=0)
+        job_b = TranspileJob.from_circuit(small_circuit(), target, routing="sabre", seed=0)
         assert job_a.fingerprint() == job_b.fingerprint()
 
     def test_name_does_not_enter_fingerprint(self):
-        coupling = linear_coupling_map(5)
-        job_a = TranspileJob.from_circuit(small_circuit("a"), coupling, seed=0, name="first")
-        job_b = TranspileJob.from_circuit(small_circuit("b"), coupling, seed=0, name="second")
+        target = linear_target()
+        job_a = TranspileJob.from_circuit(small_circuit("a"), target, seed=0, name="first")
+        job_b = TranspileJob.from_circuit(small_circuit("b"), target, seed=0, name="second")
         assert job_a.fingerprint() == job_b.fingerprint()
 
     @pytest.mark.parametrize(
@@ -50,28 +56,49 @@ class TestFingerprint:
     )
     def test_content_changes_change_fingerprint(self, change):
         coupling = montreal_coupling_map()
-        base = TranspileJob.from_circuit(small_circuit(), coupling, routing="sabre", seed=0)
-        kwargs = dict(routing="sabre", seed=0)
-        if change.get("calibration") == "montreal":
-            change = dict(change, calibration=fake_montreal_calibration())
-        kwargs.update(change)
-        other = TranspileJob.from_circuit(small_circuit(), coupling, **kwargs)
+        base = TranspileJob.from_circuit(
+            small_circuit(), Target(coupling_map=coupling), routing="sabre", seed=0
+        )
+        change = dict(change)
+        calibration = fake_montreal_calibration() if change.pop("calibration", None) else None
+        other = TranspileJob.from_circuit(
+            small_circuit(), Target(coupling_map=coupling, calibration=calibration),
+            TranspileOptions(routing="sabre", seed=0).replace(**change),
+        )
         assert base.fingerprint() != other.fingerprint()
 
     def test_circuit_changes_change_fingerprint(self):
-        coupling = linear_coupling_map(5)
-        base = TranspileJob.from_circuit(small_circuit(), coupling, seed=0)
+        target = linear_target()
+        base = TranspileJob.from_circuit(small_circuit(), target, seed=0)
         circuit = small_circuit()
         circuit.x(2)
-        other = TranspileJob.from_circuit(circuit, coupling, seed=0)
+        other = TranspileJob.from_circuit(circuit, target, seed=0)
         assert base.fingerprint() != other.fingerprint()
+
+    def test_fingerprints_pinned(self):
+        """Pinned fingerprints: how a job stores its spec must not move a result-cache key
+        or a fleet ring placement."""
+        circuit = get_benchmark("grover_n4")
+        job = TranspileJob.from_circuit(
+            circuit, Target.from_topology("linear", 5), TranspileOptions(routing="nassc", seed=0)
+        )
+        assert job.fingerprint() == (
+            "b46645f985305bd98edcd5484d15aef8a5db3213952f256ffe8b027052fb641e"
+        )
+        montreal = get_topology("montreal")
+        target = Target(
+            coupling_map=montreal, calibration=synthetic_calibration(montreal), name="montreal"
+        )
+        options = TranspileOptions(routing="sabre", seed=3, level="O3", schedule="asap")
+        assert TranspileJob.from_circuit(circuit, target, options).fingerprint() == (
+            "8e8d8b1c24f7b34aed21fb9756c039a2f2d6ee001ad54db604427dfd730be7c6"
+        )
 
     def test_pipeline_version_enters_fingerprint(self):
         """A pipeline refactor (version bump) must never serve pre-refactor cache entries."""
         import repro.service.jobs as jobs_module
 
-        coupling = linear_coupling_map(5)
-        job = TranspileJob.from_circuit(small_circuit(), coupling, seed=0)
+        job = TranspileJob.from_circuit(small_circuit(), linear_target(), seed=0)
         assert job.content_dict()["pipeline_version"] == jobs_module.PIPELINE_VERSION
         before = job.fingerprint()
         original = jobs_module.PIPELINE_VERSION
@@ -87,8 +114,7 @@ class TestFingerprint:
         import repro.service.jobs as jobs_module
         from repro.service.cache import ResultCache
 
-        coupling = linear_coupling_map(5)
-        job = TranspileJob.from_circuit(small_circuit(), coupling, routing="none", seed=0)
+        job = TranspileJob.from_circuit(small_circuit(), linear_target(), routing="none", seed=0)
         cache = ResultCache()
         cache.put(job.fingerprint(), job.run().to_dict())
         assert cache.get(job.fingerprint()) is not None
@@ -101,9 +127,8 @@ class TestFingerprint:
 
     def test_stable_across_processes(self):
         """The fingerprint is a pure content hash: a fresh interpreter computes the same."""
-        coupling = linear_coupling_map(5)
         job = TranspileJob.from_circuit(
-            small_circuit(), coupling, routing="nassc", seed=3,
+            small_circuit(), linear_target(), routing="nassc", seed=3,
             nassc_config=NASSCConfig(True, True, False),
         )
         script = (
@@ -128,19 +153,18 @@ class TestTargetOptionsFingerprint:
     """The Target/TranspileOptions canonical dicts are the fingerprint input (v3 schema)."""
 
     def test_target_options_equivalent_to_legacy_kwargs(self):
-        """A job built from a Target+options fingerprints like the flat legacy build."""
-        coupling = linear_coupling_map(5)
-        via_target = TranspileJob.from_circuit(
-            small_circuit(), Target(coupling_map=coupling),
-            TranspileOptions(routing="nassc", seed=3),
+        """A job built from a Target+options fingerprints like one built from keyword
+        overrides of the default options."""
+        via_options = TranspileJob.from_circuit(
+            small_circuit(), linear_target(), TranspileOptions(routing="nassc", seed=3),
         )
         via_kwargs = TranspileJob.from_circuit(
-            small_circuit(), coupling, routing="nassc", seed=3
+            small_circuit(), linear_target(), routing="nassc", seed=3
         )
-        assert via_target.fingerprint() == via_kwargs.fingerprint()
+        assert via_options.fingerprint() == via_kwargs.fingerprint()
 
     def test_content_dict_nests_target_and_options(self):
-        job = TranspileJob.from_circuit(small_circuit(), linear_coupling_map(5), seed=0)
+        job = TranspileJob.from_circuit(small_circuit(), linear_target(), seed=0)
         content = job.content_dict()
         assert content["target"] == job.target().content_dict()
         assert content["options"] == job.options().content_dict()
@@ -156,11 +180,15 @@ class TestTargetOptionsFingerprint:
         ],
     )
     def test_option_and_target_field_changes_change_fingerprint(self, field, value):
-        coupling = linear_coupling_map(5)
-        base = TranspileJob.from_circuit(small_circuit(), coupling, seed=0)
         import dataclasses
 
-        changed = dataclasses.replace(base, **{field: value})
+        base = TranspileJob.from_circuit(small_circuit(), linear_target(), seed=0)
+        if field == "final_basis":
+            changed = dataclasses.replace(
+                base, device=Target(coupling_map=linear_coupling_map(5), final_basis=value)
+            )
+        else:
+            changed = dataclasses.replace(base, settings=base.options().replace(**{field: value}))
         assert base.fingerprint() != changed.fingerprint()
 
     def test_adding_calibration_to_target_changes_fingerprint(self):
@@ -176,49 +204,43 @@ class TestTargetOptionsFingerprint:
         """End to end: an O1 cache entry is not served to an O2 job (and vice versa)."""
         from repro.service.cache import ResultCache
 
-        coupling = linear_coupling_map(5)
-        o1 = TranspileJob.from_circuit(small_circuit(), coupling, routing="none", seed=0)
+        o1 = TranspileJob.from_circuit(small_circuit(), linear_target(), routing="none", seed=0)
         o2 = TranspileJob.from_circuit(
-            small_circuit(), coupling, routing="none", seed=0, level="O2"
+            small_circuit(), linear_target(), routing="none", seed=0, level="O2"
         )
         cache = ResultCache()
         cache.put(o1.fingerprint(), o1.run().to_dict())
         assert cache.get(o1.fingerprint()) is not None
         assert cache.get(o2.fingerprint()) is None
 
-    def test_legacy_coupling_map_keyword_still_accepted(self):
-        coupling = linear_coupling_map(5)
-        by_keyword = TranspileJob.from_circuit(
-            small_circuit(), coupling_map=coupling, routing="sabre", seed=0
-        )
-        positional = TranspileJob.from_circuit(small_circuit(), coupling, routing="sabre", seed=0)
-        assert by_keyword.fingerprint() == positional.fingerprint()
-        with pytest.raises(TypeError, match="not both"):
-            TranspileJob.from_circuit(
-                small_circuit(), Target(coupling_map=coupling), coupling_map=coupling
-            )
+    def test_bare_coupling_map_rejected(self):
+        with pytest.raises(TranspilerError, match=r"Target\(coupling_map=\.\.\.\)"):
+            TranspileJob.from_circuit(small_circuit(), linear_coupling_map(5), seed=0)
+
+    @pytest.mark.parametrize("keyword", ["coupling_map", "calibration"])
+    def test_device_keywords_rejected(self, keyword):
+        value = linear_coupling_map(5) if keyword == "coupling_map" else fake_montreal_calibration()
+        with pytest.raises(TypeError, match=keyword):
+            TranspileJob.from_circuit(small_circuit(), None, **{keyword: value})
 
     def test_final_basis_kwarg_with_target_rejected(self):
-        with pytest.raises(TypeError, match="on the Target"):
-            TranspileJob.from_circuit(
-                small_circuit(), Target(coupling_map=linear_coupling_map(5)), final_basis="u"
-            )
+        with pytest.raises(TypeError, match="final_basis"):
+            TranspileJob.from_circuit(small_circuit(), linear_target(), final_basis="u")
 
     def test_unregistered_routing_rejected_at_construction(self):
         with pytest.raises(TranspilerError, match="unknown routing method"):
-            TranspileJob(qasm="OPENQASM 2.0;", routing="not_registered")
+            TranspileJob("OPENQASM 2.0;", settings=TranspileOptions(routing="not_registered"))
 
     def test_level_normalised_at_construction(self):
-        job = TranspileJob(qasm="OPENQASM 2.0;", routing="none", level=2)
-        assert job.level == "O2"
+        job = TranspileJob("OPENQASM 2.0;", settings=TranspileOptions(routing="none", level=2))
+        assert job.options().level == "O2"
 
     def test_job_run_honours_level(self):
-        coupling = linear_coupling_map(5)
         o0 = TranspileJob.from_circuit(
-            small_circuit(), coupling, routing="sabre", seed=0, level="O0"
+            small_circuit(), linear_target(), routing="sabre", seed=0, level="O0"
         ).run()
         o1 = TranspileJob.from_circuit(
-            small_circuit(), coupling, routing="sabre", seed=0, level="O1"
+            small_circuit(), linear_target(), routing="sabre", seed=0, level="O1"
         ).run()
         assert o0.level == "O0" and o1.level == "O1"
         assert o0.cx_count >= o1.cx_count
@@ -226,36 +248,64 @@ class TestTargetOptionsFingerprint:
 
 class TestSerialization:
     def test_job_round_trip(self):
-        coupling = montreal_coupling_map()
+        target = Target(
+            coupling_map=montreal_coupling_map(), calibration=fake_montreal_calibration()
+        )
         job = TranspileJob.from_circuit(
-            small_circuit(), coupling, routing="nassc", seed=7,
-            nassc_config=NASSCConfig(False, True, True),
-            calibration=fake_montreal_calibration(), noise_aware=True, name="rt",
+            small_circuit(), target, routing="nassc", seed=7,
+            nassc_config=NASSCConfig(False, True, True), noise_aware=True, name="rt",
         )
         clone = TranspileJob.from_dict(json.loads(json.dumps(job.to_dict())))
         assert clone == job
         assert clone.fingerprint() == job.fingerprint()
 
+    def test_job_keeps_everything_it_is_given(self):
+        """No target or option field is dropped on the way through the wire form."""
+        target = Target(
+            coupling_map=montreal_coupling_map(), calibration=fake_montreal_calibration(),
+            name="my-device",
+        )
+        options = TranspileOptions(
+            routing="nassc", seed=2, check=False, best_of=4,
+            nassc_config=NASSCConfig(True, False, True),
+        )
+        job = TranspileJob.from_circuit(small_circuit(), target, options, name="kept")
+        clone = TranspileJob.from_dict(json.loads(json.dumps(job.to_dict())))
+        assert clone == job
+        assert clone.options() == options
+        assert clone.target().name == "my-device"
+        assert job.options().check is False
+        checked = TranspileJob.from_circuit(small_circuit(), target, options.replace(check=True))
+        assert job.fingerprint() != checked.fingerprint()
+
+    def test_wire_form_is_the_submission_body(self):
+        job = TranspileJob.from_circuit(small_circuit(), linear_target(), seed=0, name="body")
+        data = job.to_dict()
+        assert set(data) == {"qasm", "target", "options", "name"}
+        assert data["target"] == job.target().to_dict()
+        assert data["options"] == job.options().to_dict()
+
     def test_best_of_round_trips(self):
-        coupling = linear_coupling_map(5)
         job = TranspileJob.from_circuit(
-            small_circuit(), coupling, routing="sabre", seed=0, best_of=4
+            small_circuit(), linear_target(), routing="sabre", seed=0, best_of=4
         )
         clone = TranspileJob.from_dict(json.loads(json.dumps(job.to_dict())))
         assert clone == job
-        assert clone.best_of == 4
+        assert clone.options().best_of == 4
         assert clone.options().effective_best_of == 4
         assert clone.fingerprint() == job.fingerprint()
 
-    def test_pre_target_flat_dict_still_loads(self):
-        """Job specs saved before the Target redesign (no ``level`` key) still load."""
-        coupling = linear_coupling_map(5)
-        legacy = TranspileJob.from_circuit(small_circuit(), coupling, routing="sabre", seed=1)
-        data = legacy.to_dict()
-        del data["level"]
-        clone = TranspileJob.from_dict(data)
-        assert clone.level == "O1"
-        assert clone.fingerprint() == legacy.fingerprint()
+    def test_flat_job_dict_rejected(self):
+        """A flat job dict (device and option fields side by side) does not load as a job."""
+        flat = {
+            "qasm": qasm.dumps(small_circuit()),
+            "routing": "sabre",
+            "level": "O1",
+            "coupling_map": linear_coupling_map(5).to_dict(),
+            "seed": 1,
+        }
+        with pytest.raises(KeyError, match="target"):
+            TranspileJob.from_dict(flat)
 
     def test_target_built_from_job_round_trips(self):
         target = Target(
@@ -274,10 +324,10 @@ class TestSerialization:
 
 class TestExecution:
     def test_run_matches_direct_transpile(self):
-        coupling = linear_coupling_map(5)
+        target = linear_target()
         circuit = small_circuit()
-        direct = transpile(circuit, coupling, routing="nassc", seed=0)
-        via_job = TranspileJob.from_circuit(circuit, coupling, routing="nassc", seed=0).run()
+        direct = transpile(circuit, target, routing="nassc", seed=0)
+        via_job = TranspileJob.from_circuit(circuit, target, routing="nassc", seed=0).run()
         assert via_job.cx_count == direct.cx_count
         assert via_job.depth == direct.depth
         assert via_job.num_swaps == direct.num_swaps
@@ -291,8 +341,7 @@ class TestExecution:
 
 class TestTranspileResultRoundTrip:
     def test_to_dict_from_dict(self):
-        coupling = linear_coupling_map(5)
-        result = transpile(small_circuit(), coupling, routing="nassc", seed=1)
+        result = transpile(small_circuit(), linear_target(), routing="nassc", seed=1)
         clone = TranspileResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert clone.cx_count == result.cx_count
         assert clone.depth == result.depth
@@ -305,8 +354,7 @@ class TestTranspileResultRoundTrip:
         assert clone.transpile_time == pytest.approx(result.transpile_time)
 
     def test_metrics_embedded_in_payload(self):
-        coupling = linear_coupling_map(5)
-        result = transpile(small_circuit(), coupling, routing="sabre", seed=0)
+        result = transpile(small_circuit(), linear_target(), routing="sabre", seed=0)
         payload = result.to_dict()
         assert payload["metrics"]["cx_count"] == result.cx_count
         assert payload["metrics"]["depth"] == result.depth

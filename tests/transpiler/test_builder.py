@@ -188,18 +188,14 @@ class TestOptimizationLevels:
     ], ids=["linear", "montreal"])
     @pytest.mark.parametrize("routing", ["sabre", "nassc"])
     def test_o1_bit_identical_to_legacy_pipeline(self, coupling_factory, routing):
-        """The staged O1 pipeline reproduces the flat legacy signature bit-for-bit."""
-        coupling = coupling_factory()
+        """The staged O1 pipeline reproduces the keyword-override call bit-for-bit."""
+        target = Target(coupling_map=coupling_factory())
         circuit = grover_n4()
-        staged = transpile(
-            circuit, Target(coupling_map=coupling),
-            TranspileOptions(routing=routing, seed=0, level="O1"),
-        )
-        with pytest.deprecated_call():
-            legacy = transpile(circuit, coupling, routing=routing, seed=0)
-        assert qasm.dumps(staged.circuit) == qasm.dumps(legacy.circuit)
-        assert staged.num_swaps == legacy.num_swaps
-        assert staged.final_layout == legacy.final_layout
+        staged = transpile(circuit, target, TranspileOptions(routing=routing, seed=0, level="O1"))
+        by_keyword = transpile(circuit, target, routing=routing, seed=0)
+        assert qasm.dumps(staged.circuit) == qasm.dumps(by_keyword.circuit)
+        assert staged.num_swaps == by_keyword.num_swaps
+        assert staged.final_layout == by_keyword.final_layout
 
     def test_o3_equals_explicit_noise_aware_o2(self):
         # best_of=1 pins O3 to a single trial: this test isolates the noise-aware
@@ -237,25 +233,26 @@ class TestNewTranspileSignature:
     def test_device_kwargs_with_target_rejected(self):
         from repro.hardware import fake_montreal_calibration
 
-        with pytest.raises(TranspilerError, match="on the Target"):
-            transpile(
-                QuantumCircuit(2), Target(coupling_map=linear_coupling_map(3)),
-                calibration=fake_montreal_calibration(),
-            )
+        target = Target(coupling_map=linear_coupling_map(3))
+        for keyword, value in (("calibration", fake_montreal_calibration()), ("final_basis", "u")):
+            with pytest.raises(TypeError, match=keyword):
+                transpile(QuantumCircuit(2), target, **{keyword: value})
 
-    def test_legacy_coupling_map_warns(self):
-        with pytest.deprecated_call():
+    def test_bare_coupling_map_rejected(self):
+        with pytest.raises(TranspilerError, match=r"Target\(coupling_map=\.\.\.\)"):
             transpile(QuantumCircuit(2), linear_coupling_map(3), routing="sabre", seed=0)
 
-    def test_legacy_coupling_map_keyword_still_accepted(self):
-        coupling = linear_coupling_map(5)
-        with pytest.deprecated_call():
-            by_keyword = transpile(grover_n4(), coupling_map=coupling, routing="sabre", seed=0)
-        with pytest.deprecated_call():
-            positional = transpile(grover_n4(), coupling, routing="sabre", seed=0)
-        assert qasm.dumps(by_keyword.circuit) == qasm.dumps(positional.circuit)
-        with pytest.raises(TranspilerError, match="not both"):
-            transpile(grover_n4(), Target(coupling_map=coupling), coupling_map=coupling)
+    def test_coupling_map_keyword_rejected(self):
+        with pytest.raises(TypeError, match="coupling_map"):
+            transpile(grover_n4(), coupling_map=linear_coupling_map(5), routing="sabre", seed=0)
+
+    def test_compare_routings_rejects_bare_coupling_map(self):
+        from repro import compare_routings
+
+        with pytest.raises(TranspilerError, match=r"Target\(coupling_map=\.\.\.\)"):
+            compare_routings(grover_n4(), linear_coupling_map(5), seed=0)
+        with pytest.raises(TypeError, match="calibration"):
+            compare_routings(grover_n4(), None, calibration=None)
 
     def test_compare_routings_kwargs_override_options(self):
         from repro import compare_routings

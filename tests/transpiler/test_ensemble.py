@@ -12,7 +12,7 @@ from repro.circuit import qasm, random_cx_circuit
 from repro.core.options import O3_DEFAULT_BEST_OF, TranspileOptions
 from repro.core.pipeline import transpile
 from repro.exceptions import TranspilerError
-from repro.hardware import linear_coupling_map
+from repro.hardware import Target, linear_coupling_map
 from repro.obs import COUNTERS, Tracer, use_tracer
 from repro.transpiler.ensemble import (
     EnsembleRouting,
@@ -78,9 +78,9 @@ class TestEnsembleTranspile:
     @pytest.mark.parametrize("routing", ["sabre", "nassc"])
     def test_reproducible_across_runs(self, routing):
         circuit = _bench_circuit()
-        coupling = linear_coupling_map(8)
-        first = transpile(circuit, coupling, routing=routing, seed=0, best_of=4)
-        second = transpile(circuit, coupling, routing=routing, seed=0, best_of=4)
+        target = Target(coupling_map=linear_coupling_map(8))
+        first = transpile(circuit, target, routing=routing, seed=0, best_of=4)
+        second = transpile(circuit, target, routing=routing, seed=0, best_of=4)
         assert qasm.dumps(first.circuit) == qasm.dumps(second.circuit)
         assert first.ensemble == second.ensemble
         assert first.best_of == 4
@@ -88,9 +88,9 @@ class TestEnsembleTranspile:
     @pytest.mark.parametrize("routing", ["sabre", "nassc"])
     def test_valid_routing_and_diagnostics(self, routing):
         circuit = _bench_circuit()
-        coupling = linear_coupling_map(8)
-        result = transpile(circuit, coupling, routing=routing, seed=3, best_of=4)
-        assert not coupling_violations(result.circuit, coupling)
+        target = Target(coupling_map=linear_coupling_map(8))
+        result = transpile(circuit, target, routing=routing, seed=3, best_of=4)
+        assert not coupling_violations(result.circuit, target.coupling_map)
         ensemble = result.ensemble
         assert ensemble["num_trials"] == 4
         assert ensemble["executed_trials"] == [0, 1, 2, 3]
@@ -108,12 +108,12 @@ class TestEnsembleTranspile:
         # one at a time (identical seeds via trial_subset), so best_of=K can never
         # be worse than any single trial it contains.
         circuit = _bench_circuit(seed=11)
-        coupling = linear_coupling_map(8)
-        ensemble = transpile(circuit, coupling, routing="sabre", seed=5, best_of=4)
+        target = Target(coupling_map=linear_coupling_map(8))
+        ensemble = transpile(circuit, target, routing="sabre", seed=5, best_of=4)
         solo_keys = []
         for index in range(4):
             solo = transpile(
-                circuit, coupling, routing="sabre", seed=5, best_of=4,
+                circuit, target, routing="sabre", seed=5, best_of=4,
                 _trial_subset=[index],
             )
             solo_keys.append(tuple(solo.ensemble["winner_key"]))
@@ -124,10 +124,10 @@ class TestEnsembleTranspile:
         # The server splits trials into chunks and takes the min winner_key; any
         # partition must reproduce the whole-ensemble result bit-for-bit.
         circuit = _bench_circuit(seed=13)
-        coupling = linear_coupling_map(8)
-        whole = transpile(circuit, coupling, routing="nassc", seed=2, best_of=4)
+        target = Target(coupling_map=linear_coupling_map(8))
+        whole = transpile(circuit, target, routing="nassc", seed=2, best_of=4)
         chunks = [
-            transpile(circuit, coupling, routing="nassc", seed=2, best_of=4,
+            transpile(circuit, target, routing="nassc", seed=2, best_of=4,
                       _trial_subset=subset)
             for subset in ([0, 1], [2, 3])
         ]
@@ -138,15 +138,17 @@ class TestEnsembleTranspile:
     def test_reproducible_across_processes(self):
         circuit = _bench_circuit(seed=17)
         here = transpile(
-            circuit, linear_coupling_map(8), routing="sabre", seed=9, best_of=3
+            circuit, Target(coupling_map=linear_coupling_map(8)), routing="sabre", seed=9,
+            best_of=3,
         )
         script = (
             "import json, sys\n"
             "from repro.circuit import qasm, random_cx_circuit\n"
             "from repro.core.pipeline import transpile\n"
-            "from repro.hardware import linear_coupling_map\n"
+            "from repro.hardware import Target, linear_coupling_map\n"
             "c = random_cx_circuit(6, 30, seed=17)\n"
-            "r = transpile(c, linear_coupling_map(8), routing='sabre', seed=9, best_of=3)\n"
+            "t = Target(coupling_map=linear_coupling_map(8))\n"
+            "r = transpile(c, t, routing='sabre', seed=9, best_of=3)\n"
             "print(json.dumps({'qasm': qasm.dumps(r.circuit),"
             " 'key': r.ensemble['winner_key']}))\n"
         )
@@ -165,9 +167,9 @@ class TestEnsembleTranspile:
         # best_of=1 must bypass the ensemble entirely: bit-identical circuit,
         # no ensemble diagnostics (the golden O1 hashes depend on this).
         circuit = _bench_circuit(seed=23)
-        coupling = linear_coupling_map(8)
-        plain = transpile(circuit, coupling, routing="sabre", seed=0)
-        pinned = transpile(circuit, coupling, routing="sabre", seed=0, best_of=1)
+        target = Target(coupling_map=linear_coupling_map(8))
+        plain = transpile(circuit, target, routing="sabre", seed=0)
+        pinned = transpile(circuit, target, routing="sabre", seed=0, best_of=1)
         assert qasm.dumps(plain.circuit) == qasm.dumps(pinned.circuit)
         assert plain.best_of == 1 and pinned.best_of == 1
         assert plain.ensemble is None and pinned.ensemble is None
@@ -179,9 +181,9 @@ class TestEnsembleTranspile:
 
     def test_pruning_counters_and_flags(self):
         circuit = _bench_circuit(seed=29, qubits=8, gates=60)
-        coupling = linear_coupling_map(10)
+        target = Target(coupling_map=linear_coupling_map(10))
         before = COUNTERS.get("routing.ensemble.trials")
-        result = transpile(circuit, coupling, routing="sabre", seed=1, best_of=6)
+        result = transpile(circuit, target, routing="sabre", seed=1, best_of=6)
         assert COUNTERS.get("routing.ensemble.trials") - before == 6
         pruned = [t for t in result.ensemble["trials"] if t["pruned"]]
         for t in pruned:
@@ -191,7 +193,8 @@ class TestEnsembleTranspile:
     def test_batched_kernel_is_exercised(self):
         circuit = _bench_circuit(seed=31)
         before = COUNTERS.get("routing.ensemble.batched_requests")
-        transpile(circuit, linear_coupling_map(8), routing="sabre", seed=0, best_of=4)
+        target = Target(coupling_map=linear_coupling_map(8))
+        transpile(circuit, target, routing="sabre", seed=0, best_of=4)
         assert COUNTERS.get("routing.ensemble.batched_requests") > before
 
     def test_per_trial_spans(self):
@@ -199,7 +202,8 @@ class TestEnsembleTranspile:
         tracer = Tracer()
         with use_tracer(tracer):
             result = transpile(
-                circuit, linear_coupling_map(8), routing="sabre", seed=4, best_of=3
+                circuit, Target(coupling_map=linear_coupling_map(8)), routing="sabre", seed=4,
+                best_of=3,
             )
         spans = {s["name"]: s for s in tracer.span_dicts()
                  if s["name"].startswith("routing.trial")}
