@@ -22,6 +22,7 @@ Repeat runs per case with ``REPRO_BENCH_REPEATS=N`` (default 1) for tighter
 mean/median estimates.
 """
 
+import gc
 import json
 import os
 import statistics
@@ -416,12 +417,39 @@ def test_ns_cost_routing_shortens_critical_path_on_majority(pipeline_report):
     )
 
 
-def test_timing_log_covers_transpile_time(pipeline_timings):
-    """The per-instance log accounts for (almost all of) each run's transpile time."""
-    for row in pipeline_timings:
-        logged = sum(t for _, t in row["pass_timing_log"])
-        assert logged <= row["transpile_time"] + 1e-6
-        assert logged >= 0.5 * row["transpile_time"]
+def test_timing_log_covers_transpile_time():
+    """The per-instance log accounts for (almost all of) each run's transpile time.
+
+    The test compiles its own rows, one per case of the ledger's grid, with the garbage
+    collector paused around each timed ``transpile()`` as ``timeit`` pauses it.  A gen-2
+    collection (50-90 ms on a loaded host) landing in ``transpile()``'s unlogged code
+    would otherwise break the 0.5 bound on a row whose passes take less than the pause,
+    with no time missing from the log.  The ``pipeline_timings`` rows keep their
+    timing conditions: they feed the ledger and the CI perf gates.
+    """
+    grid = [(routing, 1) for routing in PIPELINE_METHODS]
+    grid += [(routing, BEST_OF) for routing in BEST_OF_METHODS]
+    for device_name, coupling in pipeline_devices().items():
+        target = Target(coupling_map=coupling, name=device_name)
+        for case in table_benchmarks(names=PIPELINE_NAMES):
+            circuit = case.build()
+            for routing, best_of in grid:
+                options = TranspileOptions(
+                    routing=routing, seed=PIPELINE_SEED, level="O1",
+                    best_of=best_of if best_of > 1 else None,
+                )
+                gc.collect()
+                was_enabled = gc.isenabled()
+                gc.disable()
+                try:
+                    result = transpile(circuit, target, options)
+                finally:
+                    if was_enabled:
+                        gc.enable()
+                logged = sum(t for _, t in result.pass_timing_log)
+                row = (device_name, case.name, routing, best_of)
+                assert logged <= result.transpile_time + 1e-6, row
+                assert logged >= 0.5 * result.transpile_time, row
 
 
 def test_commutation_analysis_not_recomputed_inside_cancellation(pipeline_timings):

@@ -318,6 +318,18 @@ class Gate:
             if self._matrix.shape != (dim, dim) or dim & (dim - 1):
                 raise CircuitError("unitary gate matrix must be square with power-of-two size")
 
+    @classmethod
+    def trusted(cls, name: str, params: Tuple[float, ...]) -> "Gate":
+        """Validation-free constructor for a named gate the caller has already checked.
+
+        Used by the QASM reader, which checks the name and the parameter count itself;
+        ``params`` must already be a tuple of floats.  The result equals
+        ``Gate(name, params)``: a fresh, mutable, non-interned instance.
+        """
+        instance = object.__new__(cls)
+        instance.__dict__.update(name=name, params=params, _matrix=None, label=None)
+        return instance
+
     # -- basic properties ---------------------------------------------------
 
     @property

@@ -13,8 +13,9 @@ import math
 import os
 import re
 import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..exceptions import QASMError
 from .circuit import Instruction, QuantumCircuit
@@ -35,20 +36,41 @@ _KNOWN_ALIASES = {
 _ALLOWED_FUNCS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
                   "ln": math.log, "sqrt": math.sqrt}
 
+#: A plain decimal literal: every ``repr(float)`` of a finite float, plus integers of up
+#: to 15 digits.  ``float(text)`` returns exactly the ast evaluator's value on every
+#: match, because both round the same decimal string correctly.  Everything else goes
+#: through ast, which rejects ``01`` and non-ASCII digits, reads ``1_0`` and ``0x10``,
+#: and treats ``nan``/``inf`` as unknown identifiers.
+_NUMBER_RE = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"|[0-9]+[eE][+-]?[0-9]+|0+|[1-9][0-9]{0,14})"
+)
+
 #: CPython 3.11 keeps the AST constructor's recursion-depth bookkeeping in shared
 #: module state, so concurrent ``ast.parse`` calls from thread-pool workers (the
 #: server's QASM parsing path) can race into ``SystemError: AST constructor recursion
-#: depth mismatch``.  Parameter expressions are tiny, so serialising the parse is free.
+#: depth mismatch``.  Only expressions that are not plain numeric literals reach ast
+#: (``pi/2``, ``2*theta``), and they are tiny, so serialising the parse is free.
 _AST_PARSE_LOCK = threading.Lock()
 
 
 def _eval_expr(text: str, bindings: Optional[Dict[str, float]] = None) -> float:
     """Safely evaluate a QASM parameter expression."""
+    if _NUMBER_RE.fullmatch(text):
+        return float(text)
+    return _eval_ast(text, bindings)
+
+
+def _eval_ast(text: str, bindings: Optional[Dict[str, float]] = None) -> float:
+    """Evaluate a parameter expression through :mod:`ast`: numbers, ``pi``, bound
+    gate parameters, ``+ - * / **`` and the functions in ``_ALLOWED_FUNCS``."""
     bindings = bindings or {}
     try:
         with _AST_PARSE_LOCK:
             tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        # Nesting too deep for CPython's parser (e.g. thousands of unary minuses) raises
+        # RecursionError or, on parser stack overflow, MemoryError.
         raise QASMError(f"invalid parameter expression: {text!r}") from exc
 
     def walk(node: ast.AST) -> float:
@@ -89,7 +111,13 @@ def _eval_expr(text: str, bindings: Optional[Dict[str, float]] = None) -> float:
             return func(walk(node.args[0]))
         raise QASMError(f"unsupported expression construct in {text!r}")
 
-    return walk(tree)
+    try:
+        value = walk(tree)
+    except (ArithmeticError, RecursionError) as exc:
+        raise QASMError(f"cannot evaluate parameter expression {text!r}: {exc}") from exc
+    if not isinstance(value, float):  # a negative base to a fractional power is complex
+        raise QASMError(f"parameter expression {text!r} is not a real number")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -106,77 +134,145 @@ class _GateDef:
     body: List[str]
 
 
-_STATEMENT_RE = re.compile(r"[^;{}]+;|[^;{}]+(?=\{)|\{|\}")
+_TERMINATOR_RE = re.compile(r"([;{}])")
+_CALL_RE = re.compile(r"(\w+)\s*(\(([^)]*)\))?\s*(.*)", re.S)
+_REGISTER_RE = re.compile(r"(qreg|creg)\s+(\w+)\s*\[\s*(\d+)\s*\]")
+_GATE_DEF_RE = re.compile(r"gate\s+(\w+)\s*(\(([^)]*)\))?\s*(.*)", re.S)
+_MEASURE_RE = re.compile(r"measure\s+(.+?)\s*->\s*(.+)")
+_INDEXED_RE = re.compile(r"(\w+)\s*\[\s*(\d+)\s*\]$")
+
+#: A statement starting with one of these goes through the keyword dispatch of
+#: :meth:`_QASMParser.statement`; any other statement is a gate call.
+_KEYWORD_PREFIXES = (
+    "OPENQASM", "include", "qreg", "creg", "gate", "{", "}", "measure", "barrier", "if",
+)
+
+#: ``name -> (num_qubits, num_params, is_directive)`` for every gate a statement may call.
+_CALLABLE_GATES: Dict[str, Tuple[int, int, bool]] = {
+    name: (spec.num_qubits, spec.num_params, spec.is_directive)
+    for name, spec in GATE_SPECS.items()
+    if name not in ("measure", "barrier", "unitary")
+}
+
+_BARRIER = make_gate("barrier")
+_MEASURE = make_gate("measure")
 
 
-def _strip_comments(text: str) -> str:
-    lines = []
-    for line in text.splitlines():
-        if "//" in line:
-            line = line.split("//", 1)[0]
-        lines.append(line)
-    return "\n".join(lines)
+#: Where a statement's operations go: the list :func:`loads` builds, or the stream
+#: reader's pending queue.
+_Sink = Union[List[Instruction], Deque[Instruction]]
 
 
 def _split_operands(arg_text: str) -> List[str]:
-    return [a.strip() for a in arg_text.split(",") if a.strip()]
+    return [a for a in map(str.strip, arg_text.split(",")) if a]
+
+
+def _iter_statement_tokens(chunks: Iterable[str]) -> Iterator[str]:
+    """Split source text into statement tokens.
+
+    ``chunks`` is the source cut at line boundaries: one line at a time (the streaming
+    reader) or the whole text in one piece (:func:`loads`).  Yields every
+    ``;``-terminated statement with the terminator stripped, plus bare ``{`` / ``}``
+    tokens; text between a ``}`` and the terminator before it, and an unterminated
+    tail, are dropped.  Only the current incomplete statement is held between chunks.
+    """
+    buffer = ""
+    for chunk in chunks:
+        if "//" in chunk:
+            chunk = "\n".join(line.split("//", 1)[0] for line in chunk.splitlines())
+        buffer += chunk if chunk.endswith("\n") else chunk + "\n"
+        # [text, terminator, text, terminator, ..., unterminated tail]
+        *pieces, buffer = _TERMINATOR_RE.split(buffer)
+        pairs = iter(pieces)
+        for text, terminator in zip(pairs, pairs):
+            if terminator == "}":
+                yield "}"
+                continue
+            text = text.strip()
+            if text:
+                yield text
+            if terminator == "{":
+                yield "{"
+
+
+def _gate_instruction(
+    name: str,
+    shape: Tuple[int, int, bool],
+    params: Tuple[float, ...],
+    qubits: Tuple[int, ...],
+    stmt: str,
+) -> Instruction:
+    """One standard-gate operation, checked as ``Gate`` and ``Instruction`` check it."""
+    num_qubits, num_params, directive = shape
+    if not directive:
+        if len(params) != num_params:
+            raise QASMError(
+                f"gate {name!r} expects {num_params} parameter(s), got {len(params)}: {stmt!r}"
+            )
+        if len(qubits) != num_qubits:
+            raise QASMError(
+                f"gate {name!r} acts on {num_qubits} qubit(s), got {len(qubits)}: {stmt!r}"
+            )
+    if len(qubits) > 1 and len(set(qubits)) != len(qubits):
+        raise QASMError(f"duplicate qubit arguments in {stmt!r}")
+    return Instruction.trusted(Gate.trusted(name, params) if params else make_gate(name), qubits)
 
 
 class _QASMParser:
-    def __init__(self, text: str) -> None:
-        self.text = _strip_comments(text)
+    """Parse state shared by :func:`loads` and :class:`QASMStreamReader`.
+
+    Holds the declared registers and ``gate`` definitions.  :meth:`statement` turns one
+    statement token into its operations.  The parser range-checks every operand against
+    its register and checks each gate's arity itself, so every operation is built once,
+    by :meth:`Instruction.trusted`.
+    """
+
+    def __init__(self) -> None:
         self.qregs: Dict[str, Tuple[int, int]] = {}  # name -> (offset, size)
         self.cregs: Dict[str, Tuple[int, int]] = {}
         self.gate_defs: Dict[str, _GateDef] = {}
         self.num_qubits = 0
         self.num_clbits = 0
+        #: Barriers that named no qubit; :func:`loads` widens them to the full register.
+        self.bare_barriers = 0
+        # Operand text -> resolved indices.  A register name is declared once, so an
+        # entry never goes stale; only canonical spellings (``q[3]``, ``q``) are kept,
+        # which bounds each memo by the declared registers rather than the source length.
+        self._qubit_operands: Dict[str, Tuple[int, ...]] = {}
+        self._clbit_operands: Dict[str, Tuple[int, ...]] = {}
 
-    def parse(self) -> QuantumCircuit:
-        statements = self._tokenize()
-        instructions: List[Tuple[str, List[float], List[int], List[int]]] = []
-        i = 0
-        while i < len(statements):
-            stmt = statements[i].strip()
-            i += 1
-            if not stmt or stmt.startswith("OPENQASM") or stmt.startswith("include"):
-                continue
-            if stmt.startswith("qreg") or stmt.startswith("creg"):
-                self._declare_register(stmt)
-                continue
-            if stmt.startswith("gate ") or stmt == "gate":
-                i = self._parse_gate_def(statements, i - 1)
-                continue
-            if stmt in ("{", "}"):
-                continue
-            instructions.extend(self._parse_operation(stmt))
+    def statement(self, stmt: str, tokens: Iterator[str], out: _Sink) -> None:
+        """Append the operations of one statement to ``out`` (none for declarations).
 
-        circuit = QuantumCircuit(self.num_qubits, self.num_clbits, "qasm_circuit")
-        for name, params, qubits, clbits in instructions:
-            if name == "barrier":
-                circuit.barrier(*qubits)
-            elif name == "measure":
-                circuit.measure(qubits[0], clbits[0])
-            else:
-                circuit.append(Gate(name, tuple(params)), qubits)
-        return circuit
+        ``tokens`` is the token stream ``stmt`` came from; a ``gate`` header reads its
+        body from it.
+        """
+        if not stmt.startswith(_KEYWORD_PREFIXES):
+            self._call(stmt, out)
+        elif stmt.startswith(("OPENQASM", "include")) or stmt in ("{", "}"):
+            pass
+        elif stmt.startswith(("qreg", "creg")):
+            self._declare_register(stmt)
+        elif stmt.startswith("gate ") or stmt == "gate":
+            self._parse_gate_def(self._collect_gate_def(stmt, tokens))
+        elif stmt.startswith("measure"):
+            self._measure(stmt, out)
+        elif stmt.startswith("barrier"):
+            out.append(self._barrier(stmt))
+        elif stmt.startswith("if"):
+            raise QASMError("classical control ('if') is not supported")
+        else:
+            self._call(stmt, out)
 
-    # -- helpers -----------------------------------------------------------
-
-    def _tokenize(self) -> List[str]:
-        tokens = []
-        for match in _STATEMENT_RE.finditer(self.text):
-            token = match.group(0).strip()
-            if token.endswith(";"):
-                token = token[:-1].strip()
-            if token:
-                tokens.append(token)
-        return tokens
+    # -- declarations ------------------------------------------------------
 
     def _declare_register(self, stmt: str) -> None:
-        match = re.match(r"(qreg|creg)\s+(\w+)\s*\[\s*(\d+)\s*\]", stmt)
+        match = _REGISTER_RE.match(stmt)
         if not match:
             raise QASMError(f"malformed register declaration: {stmt!r}")
         kind, name, size = match.group(1), match.group(2), int(match.group(3))
+        if name in self.qregs or name in self.cregs:
+            raise QASMError(f"register {name!r} is already declared: {stmt!r}")
         if kind == "qreg":
             self.qregs[name] = (self.num_qubits, size)
             self.num_qubits += size
@@ -184,16 +280,33 @@ class _QASMParser:
             self.cregs[name] = (self.num_clbits, size)
             self.num_clbits += size
 
-    def _parse_gate_def(self, statements: List[str], start: int) -> int:
-        header = statements[start].strip()
-        match = re.match(r"gate\s+(\w+)\s*(\(([^)]*)\))?\s*(.*)", header, re.S)
+    @staticmethod
+    def _collect_gate_def(header: str, tokens: Iterator[str]) -> List[str]:
+        """The header plus every token of its ``{ ... }`` block."""
+        collected = [header]
+        depth = 0
+        opened = False
+        for token in tokens:
+            collected.append(token)
+            if token == "{":
+                depth += 1
+                opened = True
+            elif token == "}":
+                depth -= 1
+            if opened and depth == 0:
+                return collected
+        raise QASMError(f"unterminated gate definition: {header!r}")
+
+    def _parse_gate_def(self, statements: List[str]) -> None:
+        header = statements[0]
+        match = _GATE_DEF_RE.match(header)
         if not match:
             raise QASMError(f"malformed gate definition: {header!r}")
         name = match.group(1)
         params = _split_operands(match.group(3) or "")
         qubits = _split_operands(match.group(4) or "")
         body: List[str] = []
-        i = start + 1
+        i = 1
         if i < len(statements) and statements[i] == "{":
             i += 1
         depth = 1
@@ -207,125 +320,172 @@ class _QASMParser:
                 body.append(stmt)
             i += 1
         self.gate_defs[name] = _GateDef(name, params, qubits, body)
-        return i
 
-    def _resolve_qubit(self, operand: str) -> List[int]:
-        operand = operand.strip()
-        match = re.match(r"(\w+)\s*\[\s*(\d+)\s*\]$", operand)
+    # -- operands ----------------------------------------------------------
+
+    def _resolve(
+        self, operand: str, registers: Dict[str, Tuple[int, int]], kind: str
+    ) -> Tuple[int, ...]:
+        """Indices of a ``reg[i]`` or whole-register operand, looked up only in
+        ``registers`` (the quantum or the classical ones, by ``kind``)."""
+        match = _INDEXED_RE.match(operand)
+        name = match.group(1) if match else operand
+        if name not in registers:
+            other = self.cregs if registers is self.qregs else self.qregs
+            if name in other:
+                raise QASMError(f"operand {operand!r} is not a {kind} register")
+            if match:
+                raise QASMError(f"unknown register {name!r}")
+            raise QASMError(f"unknown operand {operand!r}")
+        offset, size = registers[name]
         if match:
-            reg, idx = match.group(1), int(match.group(2))
-            if reg in self.qregs:
-                offset, size = self.qregs[reg]
-                if idx >= size:
-                    raise QASMError(f"qubit index out of range: {operand}")
-                return [offset + idx]
-            if reg in self.cregs:
-                offset, size = self.cregs[reg]
-                if idx >= size:
-                    raise QASMError(f"clbit index out of range: {operand}")
-                return [offset + idx]
-            raise QASMError(f"unknown register {reg!r}")
-        if operand in self.qregs:
-            offset, size = self.qregs[operand]
-            return [offset + i for i in range(size)]
-        if operand in self.cregs:
-            offset, size = self.cregs[operand]
-            return [offset + i for i in range(size)]
-        raise QASMError(f"unknown operand {operand!r}")
+            index = int(match.group(2))
+            if index >= size:
+                raise QASMError(f"{kind} index out of range: {operand}")
+            found: Tuple[int, ...] = (offset + index,)
+            canonical = f"{name}[{index}]"
+        else:
+            found = tuple(range(offset, offset + size))
+            canonical = name
+        if operand == canonical:
+            memo = self._qubit_operands if registers is self.qregs else self._clbit_operands
+            memo[operand] = found
+        return found
 
-    def _parse_operation(self, stmt: str) -> List[Tuple[str, List[float], List[int], List[int]]]:
-        if stmt.startswith("measure"):
-            match = re.match(r"measure\s+(.+?)\s*->\s*(.+)", stmt)
-            if not match:
-                raise QASMError(f"malformed measure: {stmt!r}")
-            qubits = self._resolve_qubit(match.group(1))
-            clbits = self._resolve_qubit(match.group(2))
-            if len(qubits) != len(clbits):
-                raise QASMError(f"measure register size mismatch: {stmt!r}")
-            return [("measure", [], [q], [c]) for q, c in zip(qubits, clbits)]
-        if stmt.startswith("barrier"):
-            operands = _split_operands(stmt[len("barrier"):])
-            qubits: List[int] = []
-            for op in operands:
-                qubits.extend(self._resolve_qubit(op))
-            return [("barrier", [], qubits, [])]
-        if stmt.startswith("if"):
-            raise QASMError("classical control ('if') is not supported")
+    def _qubits(self, operand: str) -> Tuple[int, ...]:
+        return self._qubit_operands.get(operand) or self._resolve(operand, self.qregs, "qubit")
 
-        match = re.match(r"(\w+)\s*(\(([^)]*)\))?\s*(.*)", stmt, re.S)
+    def _clbits(self, operand: str) -> Tuple[int, ...]:
+        return self._clbit_operands.get(operand) or self._resolve(operand, self.cregs, "clbit")
+
+    # -- operations --------------------------------------------------------
+
+    def _measure(self, stmt: str, out: _Sink) -> None:
+        match = _MEASURE_RE.match(stmt)
         if not match:
-            raise QASMError(f"malformed statement: {stmt!r}")
-        name = match.group(1)
-        param_text = match.group(3) or ""
-        operand_text = match.group(4) or ""
-        params = [_eval_expr(p) for p in _split_operands(param_text)]
-        operand_groups = [self._resolve_qubit(op) for op in _split_operands(operand_text)]
-        return self._expand_call(name, params, operand_groups, stmt)
+            raise QASMError(f"malformed measure: {stmt!r}")
+        qubits = self._qubits(match.group(1).strip())
+        clbits = self._clbits(match.group(2).strip())
+        if len(qubits) != len(clbits):
+            raise QASMError(f"measure register size mismatch: {stmt!r}")
+        out.extend(Instruction.trusted(_MEASURE, (q,), (c,)) for q, c in zip(qubits, clbits))
 
-    def _expand_call(
-        self,
-        name: str,
-        params: List[float],
-        operand_groups: List[List[int]],
-        stmt: str,
-    ) -> List[Tuple[str, List[float], List[int], List[int]]]:
+    def _barrier(self, stmt: str) -> Instruction:
+        qubits: List[int] = []
+        for operand in _split_operands(stmt[len("barrier"):]):
+            qubits.extend(self._qubits(operand))
+        if len(set(qubits)) != len(qubits):
+            raise QASMError(f"duplicate qubit arguments in {stmt!r}")
+        if not qubits:
+            self.bare_barriers += 1
+        return Instruction.trusted(_BARRIER, tuple(qubits))
+
+    def _call(self, stmt: str, out: _Sink) -> None:
+        match = _CALL_RE.match(stmt)
+        if match is None:
+            raise QASMError(f"malformed statement: {stmt!r}")
+        name, param_text, operand_text = match.group(1, 3, 4)
+        params = tuple([_eval_expr(p) for p in _split_operands(param_text)]) if param_text else ()
+        memo = self._qubit_operands
+        groups: List[Tuple[int, ...]] = []
+        qubits: Tuple[int, ...] = ()
+        broadcast = False
+        for operand in operand_text.split(","):
+            group = memo.get(operand)
+            if group is None:
+                operand = operand.strip()
+                if not operand:
+                    continue
+                group = memo.get(operand) or self._resolve(operand, self.qregs, "qubit")
+            groups.append(group)
+            qubits += group
+            if len(group) != 1:
+                broadcast = True
         name = _KNOWN_ALIASES.get(name, name)
+        if not broadcast:
+            self._apply(name, params, qubits, stmt, out)
+            return
         # Broadcast register operands (e.g. `h q;`) over their elements.
-        sizes = {len(g) for g in operand_groups if len(g) > 1}
+        sizes = {len(group) for group in groups if len(group) != 1}
+        if 0 in sizes:
+            raise QASMError(f"empty register operand in {stmt!r}")
         if len(sizes) > 1:
             raise QASMError(f"inconsistent register broadcast in {stmt!r}")
-        repeat = sizes.pop() if sizes else 1
-        results: List[Tuple[str, List[float], List[int], List[int]]] = []
-        for rep in range(repeat):
-            qubits = [g[rep] if len(g) > 1 else g[0] for g in operand_groups]
-            if name in GATE_SPECS and name not in ("measure", "barrier", "unitary"):
-                results.append((name, params, qubits, []))
-            elif name in self.gate_defs:
-                results.extend(self._inline_gate_def(self.gate_defs[name], params, qubits))
-            else:
-                raise QASMError(f"unknown gate {name!r} in statement {stmt!r}")
-        return results
+        for rep in range(sizes.pop()):
+            qubits = tuple([group[rep] if len(group) > 1 else group[0] for group in groups])
+            self._apply(name, params, qubits, stmt, out)
 
-    def _inline_gate_def(
-        self, gate_def: _GateDef, params: List[float], qubits: List[int]
-    ) -> List[Tuple[str, List[float], List[int], List[int]]]:
+    def _apply(
+        self, name: str, params: Tuple[float, ...], qubits: Tuple[int, ...], stmt: str,
+        out: _Sink,
+    ) -> None:
+        """Append a standard gate, or the inlined body of a user-defined one."""
+        shape = _CALLABLE_GATES.get(name)
+        if shape is not None:
+            out.append(_gate_instruction(name, shape, params, qubits, stmt))
+            return
+        try:
+            self._inline(name, params, qubits, stmt, out)
+        except RecursionError as exc:
+            # Caught here, at the statement, where the stack has room again.
+            raise QASMError(
+                f"gate {name!r} calls itself or nests too deeply: {stmt!r}"
+            ) from exc
+
+    def _inline(
+        self, name: str, params: Tuple[float, ...], qubits: Tuple[int, ...], stmt: str,
+        out: _Sink,
+    ) -> None:
+        """Append the body of user-defined gate ``name``, its calls inlined recursively."""
+        gate_def = self.gate_defs.get(name)
+        if gate_def is None:
+            raise QASMError(f"unknown gate {name!r} in statement {stmt!r}")
         if len(params) != len(gate_def.params):
             raise QASMError(f"gate {gate_def.name!r} expects {len(gate_def.params)} params")
         if len(qubits) != len(gate_def.qubits):
             raise QASMError(f"gate {gate_def.name!r} expects {len(gate_def.qubits)} qubits")
         param_binding = dict(zip(gate_def.params, params))
         qubit_binding = dict(zip(gate_def.qubits, qubits))
-        results: List[Tuple[str, List[float], List[int], List[int]]] = []
-        for stmt in gate_def.body:
-            match = re.match(r"(\w+)\s*(\(([^)]*)\))?\s*(.*)", stmt, re.S)
+        for body_stmt in gate_def.body:
+            match = _CALL_RE.match(body_stmt)
             if not match:
-                raise QASMError(f"malformed statement in gate body: {stmt!r}")
-            name = match.group(1)
-            if name == "barrier":
+                raise QASMError(f"malformed statement in gate body: {body_stmt!r}")
+            inner = match.group(1)
+            if inner == "barrier":
                 continue
-            inner_params = [
+            inner_params = tuple([
                 _eval_expr(p, param_binding) for p in _split_operands(match.group(3) or "")
-            ]
-            inner_qubit_names = _split_operands(match.group(4) or "")
+            ])
             try:
-                inner_qubits = [qubit_binding[qn] for qn in inner_qubit_names]
+                inner_qubits = tuple([qubit_binding[q] for q in _split_operands(match.group(4))])
             except KeyError as exc:
                 raise QASMError(f"unknown qubit {exc} in gate body of {gate_def.name!r}") from exc
-            resolved = _KNOWN_ALIASES.get(name, name)
-            if resolved in GATE_SPECS and resolved not in ("measure", "barrier", "unitary"):
-                results.append((resolved, inner_params, inner_qubits, []))
-            elif resolved in self.gate_defs:
-                results.extend(
-                    self._inline_gate_def(self.gate_defs[resolved], inner_params, inner_qubits)
-                )
+            inner = _KNOWN_ALIASES.get(inner, inner)
+            shape = _CALLABLE_GATES.get(inner)
+            if shape is not None:
+                out.append(_gate_instruction(inner, shape, inner_params, inner_qubits, body_stmt))
             else:
-                raise QASMError(f"unknown gate {name!r} inside gate {gate_def.name!r}")
-        return results
+                self._inline(inner, inner_params, inner_qubits, body_stmt, out)
 
 
 def loads(text: str) -> QuantumCircuit:
     """Parse OpenQASM 2.0 source text into a :class:`QuantumCircuit`."""
-    return _QASMParser(text).parse()
+    parser = _QASMParser()
+    tokens = _iter_statement_tokens((text,))
+    data: List[Instruction] = []
+    for stmt in tokens:
+        parser.statement(stmt, tokens, data)
+    if parser.bare_barriers:
+        # A barrier naming no qubit spans the whole register, as circuit.barrier() does.
+        everything = tuple(range(parser.num_qubits))
+        data = [
+            Instruction.trusted(_BARRIER, everything)
+            if inst.gate is _BARRIER and not inst.qubits else inst
+            for inst in data
+        ]
+    circuit = QuantumCircuit(parser.num_qubits, parser.num_clbits, "qasm_circuit")
+    circuit.data = data
+    return circuit
 
 
 def load(path: str) -> QuantumCircuit:
@@ -338,37 +498,6 @@ def load(path: str) -> QuantumCircuit:
 # Streaming ingest
 # ---------------------------------------------------------------------------
 
-def _iter_statement_tokens(lines: Iterable[str]) -> Iterator[str]:
-    """Incremental version of :meth:`_QASMParser._tokenize`.
-
-    Consumes raw source lines one at a time and yields the same statement tokens the
-    batch tokenizer produces (``;``-terminated statements with the terminator stripped,
-    plus bare ``{`` / ``}`` tokens), holding only the current incomplete statement in
-    memory.
-    """
-    buffer = ""
-    for line in lines:
-        if "//" in line:
-            line = line.split("//", 1)[0]
-        buffer += line if line.endswith("\n") else line + "\n"
-        while True:
-            match = re.search(r"[;{}]", buffer)
-            if match is None:
-                break
-            char = buffer[match.start()]
-            pre = buffer[: match.start()].strip()
-            buffer = buffer[match.end():]
-            if char == ";":
-                if pre:
-                    yield pre
-            elif char == "{":
-                if pre:
-                    yield pre
-                yield "{"
-            else:
-                yield "}"
-
-
 class QASMStreamReader:
     """Incremental OpenQASM 2.0 reader: instructions without the full AST in memory.
 
@@ -379,16 +508,17 @@ class QASMStreamReader:
     (the spec's "declare before use" rule), so the header can be parsed from the stream
     prefix while the gate body is still unread.
 
-    Parsing reuses the exact statement machinery of :class:`_QASMParser`, so a streamed
-    parse accepts the same dialect and produces the same operations as :func:`loads` —
-    ``tests/circuit/test_qasm.py`` pins the equivalence.
+    Parsing shares the statement machinery of :func:`loads`, so a streamed parse
+    accepts the same dialect and produces the same operations —
+    ``tests/circuit/test_qasm_stream.py`` and ``test_qasm_reference.py`` pin the
+    equivalence.
     """
 
     def __init__(self, lines: Iterable[str], name: str = "qasm_stream") -> None:
         self.name = name
-        self._parser = _QASMParser("")
+        self._parser = _QASMParser()
         self._tokens = _iter_statement_tokens(lines)
-        self._pending: List[Tuple[str, List[float], List[int], List[int]]] = []
+        self._pending: Deque[Instruction] = deque()
         self._header_done = False
         self._exhausted = False
 
@@ -416,56 +546,22 @@ class QASMStreamReader:
 
     def _advance(self) -> None:
         """Consume source statements until one operation batch is pending (or EOF)."""
-        parser = self._parser
+        pending = self._pending
         for stmt in self._tokens:
-            stmt = stmt.strip()
-            if not stmt or stmt.startswith("OPENQASM") or stmt.startswith("include"):
-                continue
-            if stmt.startswith("qreg") or stmt.startswith("creg"):
-                parser._declare_register(stmt)
-                continue
-            if stmt.startswith("gate ") or stmt == "gate":
-                self._collect_gate_def(stmt)
-                continue
-            if stmt in ("{", "}"):
-                continue
-            self._pending = parser._parse_operation(stmt)
-            if self._pending:
+            self._parser.statement(stmt, self._tokens, pending)
+            if pending:
                 return
         self._exhausted = True
-
-    def _collect_gate_def(self, header: str) -> None:
-        """Buffer one ``gate`` block's tokens and hand them to the batch parser."""
-        collected = [header]
-        depth = 0
-        opened = False
-        for token in self._tokens:
-            collected.append(token)
-            if token == "{":
-                depth += 1
-                opened = True
-            elif token == "}":
-                depth -= 1
-            if opened and depth == 0:
-                break
-        else:
-            raise QASMError(f"unterminated gate definition: {header!r}")
-        self._parser._parse_gate_def(collected, 0)
 
     # -- instruction stream ---------------------------------------------------
 
     def instructions(self) -> Iterator[Instruction]:
         """Lazily yield every operation in source order as an :class:`Instruction`."""
         self._ensure_header()
+        pending = self._pending
         while True:
-            while self._pending:
-                name, params, qubits, clbits = self._pending.pop(0)
-                if name == "barrier":
-                    yield Instruction(make_gate("barrier"), tuple(qubits))
-                elif name == "measure":
-                    yield Instruction(make_gate("measure"), tuple(qubits), tuple(clbits))
-                else:
-                    yield Instruction(Gate(name, tuple(params)), tuple(qubits), tuple(clbits))
+            while pending:
+                yield pending.popleft()
             if self._exhausted:
                 return
             self._advance()

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..obs.tracer import Span, format_traceparent, new_trace_id, parse_traceparent
-from ..server.app import job_from_payload, methods_payload, targets_payload
+from ..server.app import batch_entries, job_from_payload, methods_payload, targets_payload
 from ..server.http import AsyncHTTPServer, HTTPError, Request
 from . import httpclient
 from .httpclient import FetchError
@@ -374,15 +374,10 @@ class FleetCoordinator(AsyncHTTPServer):
         shed reports which entries were already admitted.
         """
         data = request.json()
-        specs = data.get("jobs")
-        if not isinstance(specs, list) or not specs:
-            raise HTTPError(400, '"jobs" must be a non-empty list of job specifications')
+        entries = batch_entries(data)
+        specs = [spec for spec, _job in entries]
+        fingerprints = [job.fingerprint() for _spec, job in entries]
         shared = {key: value for key, value in data.items() if key != "jobs"}
-        fingerprints = []
-        for index, spec in enumerate(specs):
-            if not isinstance(spec, dict):
-                raise HTTPError(400, f"jobs[{index}] must be a JSON object")
-            fingerprints.append(job_from_payload(spec).fingerprint())
         headers, span = self._forward_context(request)
         summaries: List[Optional[Dict]] = [None] * len(specs)
         admitted = 0

@@ -39,15 +39,9 @@ class TimedInstruction:
     clbits: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "clbits", tuple(int(c) for c in self.clbits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        object.__setattr__(self, "start", int(self.start))
-        object.__setattr__(self, "duration", int(self.duration))
-        if self.start < 0:
-            raise ScheduleError(f"instruction {self.name!r} starts before t=0: {self.start}")
-        if self.duration < 0:
-            raise ScheduleError(f"instruction {self.name!r} has negative duration")
+        _set_fields(
+            self, self.name, self.qubits, self.start, self.duration, self.params, self.clbits
+        )
 
     @property
     def end(self) -> int:
@@ -63,11 +57,29 @@ class TimedInstruction:
 
     @classmethod
     def from_list(cls, data: List) -> "TimedInstruction":
+        """Inverse of :meth:`to_list`; converts and checks each field once."""
         name, qubits, start, duration, params, clbits = data
-        return cls(
-            name=name, qubits=tuple(qubits), start=start, duration=duration,
-            params=tuple(params), clbits=tuple(clbits),
-        )
+        inst = object.__new__(cls)
+        _set_fields(inst, name, qubits, start, duration, params, clbits)
+        return inst
+
+
+def _set_fields(inst: TimedInstruction, name, qubits, start, duration, params, clbits) -> None:
+    """Convert and validate every field of ``inst`` and store it (a frozen dataclass
+    keeps its fields in ``__dict__``)."""
+    qubits = tuple(map(int, qubits))
+    clbits = tuple(map(int, clbits))
+    params = tuple(map(float, params))
+    start = int(start)
+    duration = int(duration)
+    if start < 0:
+        raise ScheduleError(f"instruction {name!r} starts before t=0: {start}")
+    if duration < 0:
+        raise ScheduleError(f"instruction {name!r} has negative duration")
+    inst.__dict__.update(
+        name=name, qubits=qubits, start=start, duration=duration, params=params,
+        clbits=clbits,
+    )
 
 
 @dataclass(frozen=True)

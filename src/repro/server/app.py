@@ -6,15 +6,17 @@ A deliberately dependency-free HTTP/1.1 implementation (shared plumbing in
 =============================  ==========================================================
 ``POST /v1/jobs``              submit one job, ``{"qasm": ..., "target": ...,
                                "options": ..., "name": ...}`` (the ``TranspileJob``
-                               wire form; unknown target/options keys are a 400); returns
+                               wire form plus ``priority``/``client``; an unknown
+                               top-level, target or options key is a 400); returns
                                202 with the job id — or 200 immediately when the result
                                cache already holds the fingerprint.  ``"stream": true``
                                (with optional ``window_gates``/``chunk_gates``) runs the
                                job through the streaming O0 pipeline: routed QASM is
                                emitted incrementally as ``routed_chunk`` events on
                                ``/v1/jobs/{id}/events`` and the result cache is bypassed
-``POST /v1/batch``             submit many jobs (``{"jobs": [body, ...]}``) atomically
-                               (all admitted or all 429)
+``POST /v1/batch``             submit many jobs (``{"jobs": [body, ...]}`` plus batch-wide
+                               ``priority``/``client``) atomically (all admitted or all
+                               429)
 ``GET /v1/jobs``               summary list of known jobs
 ``GET /v1/jobs/{id}``          status/result; ``?wait=SECONDS`` long-polls for a terminal
                                state
@@ -31,11 +33,11 @@ A deliberately dependency-free HTTP/1.1 implementation (shared plumbing in
 ``GET /metrics``               Prometheus text format
 =============================  ==========================================================
 
-Admission control returns ``429 Too Many Requests`` with a ``Retry-After`` header once
-``queue_bound`` jobs are admitted and unfinished.  Failed jobs carry the worker's full
-traceback in their ``error`` object so a 500-class failure is actionable from the
-client.  ``stop()`` drains in-flight work before the loop exits (SIGTERM/SIGINT do the
-same under ``python -m repro serve``).
+Every JSON response body is compact, on one line.  Admission control returns ``429 Too
+Many Requests`` with a ``Retry-After`` header once ``queue_bound`` jobs are admitted and
+unfinished.  Failed jobs carry the worker's full traceback in their ``error`` object so
+a 500-class failure is actionable from the client.  ``stop()`` drains in-flight work
+before the loop exits (SIGTERM/SIGINT do the same under ``python -m repro serve``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..core.options import LEVEL_DESCRIPTIONS, OPTIMIZATION_LEVELS, TranspileOptions
@@ -258,16 +260,9 @@ class ReproServer(AsyncHTTPServer):
 
     async def _handle_batch(self, request: Request, writer: asyncio.StreamWriter) -> None:
         data = request.json()
-        specs = data.get("jobs")
-        if not isinstance(specs, list) or not specs:
-            raise HTTPError(400, '"jobs" must be a non-empty list of job specifications')
+        jobs = [job for _spec, job in batch_entries(data)]
         client = str(data.get("client") or request.client_id)
         priority = _int_field(data, "priority", default=0)
-        jobs = []
-        for index, spec in enumerate(specs):
-            if not isinstance(spec, dict):
-                raise HTTPError(400, f"jobs[{index}] must be a JSON object")
-            jobs.append(job_from_payload(spec))
         # Phase 1 (awaits allowed): read the cache for every distinct fingerprint
         # without touching queue state.
         loop = asyncio.get_running_loop()
@@ -499,13 +494,34 @@ class ReproServer(AsyncHTTPServer):
         return record
 
 
+#: Top-level keys of a submission body: the job's wire form (``TranspileJob.to_dict()``)
+#: plus the admission fields.  Any other key is a 400, so an option sent beside ``qasm``
+#: instead of under ``options`` cannot silently compile a default job.
+_SUBMISSION_KEYS = frozenset({
+    "qasm", "target", "options", "name",
+    "priority", "client", "stream", "window_gates", "chunk_gates",
+})
+
+#: Top-level keys of a ``/v1/batch`` body; the fleet coordinator merges ``priority`` and
+#: ``client`` into each entry it forwards, so both are submission keys too.
+_BATCH_KEYS = frozenset({"jobs", "priority", "client"})
+
+
+def _reject_unknown_keys(data: Dict, allowed: frozenset, what: str) -> None:
+    unknown = set(data) - allowed
+    if unknown:
+        raise HTTPError(400, f"unknown {what} key(s): {', '.join(sorted(unknown))}")
+
+
 def job_from_payload(data: Dict) -> TranspileJob:
     """Build a :class:`TranspileJob` from a submission body (shared with the fleet
     coordinator, which must compute the same fingerprint the node will).
 
     The body is the job's wire form plus admission fields (``priority``, ``client``,
-    ``stream``...); ``target`` and ``options`` may be omitted for their defaults.
+    ``stream``...); ``target`` and ``options`` may be omitted for their defaults.  Any
+    other top-level key is rejected.
     """
+    _reject_unknown_keys(data, _SUBMISSION_KEYS, "submission")
     try:
         qasm_text = data.get("qasm")
         if not isinstance(qasm_text, str) or "OPENQASM" not in qasm_text:
@@ -523,6 +539,24 @@ def job_from_payload(data: Dict) -> TranspileJob:
         raise
     except (ReproError, KeyError, TypeError, ValueError) as exc:
         raise HTTPError(400, f"invalid job specification: {exc}") from exc
+
+
+def batch_entries(data: Dict) -> List[Tuple[Dict, TranspileJob]]:
+    """Each entry of a ``/v1/batch`` body with its job (shared with the fleet
+    coordinator).  Rejects unknown batch keys and names the failing entry's index."""
+    _reject_unknown_keys(data, _BATCH_KEYS, "batch")
+    specs = data.get("jobs")
+    if not isinstance(specs, list) or not specs:
+        raise HTTPError(400, '"jobs" must be a non-empty list of job specifications')
+    entries = []
+    for index, spec in enumerate(specs):
+        if not isinstance(spec, dict):
+            raise HTTPError(400, f"jobs[{index}] must be a JSON object")
+        try:
+            entries.append((spec, job_from_payload(spec)))
+        except HTTPError as exc:
+            raise HTTPError(exc.status, f"jobs[{index}]: {exc}") from exc
+    return entries
 
 
 def methods_payload() -> Dict:

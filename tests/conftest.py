@@ -1,5 +1,8 @@
 """Shared fixtures and helpers for the test suite."""
 
+import contextvars
+import json
+
 import numpy as np
 import pytest
 
@@ -40,3 +43,39 @@ def bell_pair() -> QuantumCircuit:
     circuit.h(0)
     circuit.cx(0, 1)
     return circuit
+
+
+@pytest.fixture
+def json_bodies(monkeypatch):
+    """Every JSON response body any server writes during the test, paired with the
+    ``indent=2`` text the servers used to send for the same payload."""
+    from repro.server.http import AsyncHTTPServer
+
+    pairs = []
+    write_json = AsyncHTTPServer._write_json
+    write_response = AsyncHTTPServer._write_response
+    indented = contextvars.ContextVar("indented", default=None)
+
+    async def recording_write_json(self, writer, status, payload, **kwargs):
+        token = indented.set(json.dumps(payload, indent=2))
+        try:
+            await write_json(self, writer, status, payload, **kwargs)
+        finally:
+            indented.reset(token)
+
+    async def recording_write_response(self, writer, status, body, **kwargs):
+        if indented.get() is not None:
+            pairs.append((indented.get(), body))
+        await write_response(self, writer, status, body, **kwargs)
+
+    monkeypatch.setattr(AsyncHTTPServer, "_write_json", recording_write_json)
+    monkeypatch.setattr(AsyncHTTPServer, "_write_response", recording_write_response)
+    return pairs
+
+
+def assert_compact_json_bodies(pairs, at_least: int) -> None:
+    """Each body is one line of JSON that decodes to what the indented text decodes to."""
+    assert len(pairs) >= at_least
+    for indented, body in pairs:
+        assert body.endswith(b"\n") and body.count(b"\n") == 1, body[:200]
+        assert json.loads(body) == json.loads(indented)

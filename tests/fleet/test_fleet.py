@@ -24,6 +24,8 @@ from repro.obs.counters import COUNTERS
 from repro.obs.tracer import Tracer, use_tracer
 from repro.server.http import ThreadedServer
 
+from ..conftest import assert_compact_json_bodies
+
 HEARTBEAT = 0.2
 
 
@@ -234,6 +236,78 @@ class TestPeerCacheTier:
         assert parse_metric(
             text, "repro_peer_cache_requests_total", {"outcome": "hit"}
         ) >= 1
+
+
+class TestSubmissionKeys:
+    MISPLACED = {"routing": "nassc", "seed": 4, "target": {"topology": "linear", "num_qubits": 5}}
+
+    def test_option_beside_qasm_is_refused_by_the_coordinator(self, fleet):
+        body = dict(self.MISPLACED, qasm=qasm.dumps(small_circuit("misplaced")))
+        for path, payload in (("/v1/jobs", body), ("/v1/batch", {"jobs": [body]})):
+            status, raw, _ = _raw(fleet["coordinator"], "POST", path, json.dumps(payload))
+            assert status == 400, path
+            message = json.loads(raw)["error"]["message"]
+            assert "routing" in message and "seed" in message
+
+    def test_unknown_batch_key_is_refused_before_any_placement(self, fleet):
+        placed = dict(fleet["coordinator"].server.placements)
+        body = {
+            "jobs": [{"qasm": qasm.dumps(small_circuit("batchkey")),
+                      "target": {"topology": "linear", "num_qubits": 5}}],
+            "routing": "nassc",
+        }
+        status, raw, _ = _raw(fleet["coordinator"], "POST", "/v1/batch", json.dumps(body))
+        assert status == 400
+        assert "routing" in json.loads(raw)["error"]["message"]
+        assert dict(fleet["coordinator"].server.placements) == placed
+
+    def test_batch_with_priority_and_client_is_admitted(self, fleet):
+        """The coordinator merges batch-wide ``priority``/``client`` into each entry it
+        forwards, and the nodes admit the merged body."""
+        from repro.service.jobs import TranspileJob
+
+        jobs = [
+            TranspileJob.from_circuit(
+                small_circuit(f"merged{i}"), linear_target(), options(seed=90 + i)
+            )
+            for i in range(2)
+        ]
+        handles = fleet["client"].submit_batch(jobs, priority=4)
+        assert all(handle.result(timeout=120).cx_count > 0 for handle in handles)
+
+
+class TestWireFormat:
+    def test_every_coordinator_route_answers_one_line_of_compact_json(
+        self, fleet, json_bodies
+    ):
+        coordinator = fleet["coordinator"]
+        job_body = json.dumps({
+            "qasm": qasm.dumps(small_circuit("wire")),
+            "target": {"topology": "linear", "num_qubits": 5},
+            "options": {"routing": "sabre", "seed": 95},
+        })
+        answered = []
+
+        def call(method, path, payload=None):
+            status, raw, headers = _raw(coordinator, method, path, payload)
+            assert headers["Content-Type"].startswith("application/json")
+            answered.append(path)
+            return status, json.loads(raw)
+
+        for path in ("/fleet/v1/nodes", "/healthz", "/v1/methods", "/v1/targets"):
+            assert call("GET", path)[0] == 200
+        status, summary = call("POST", "/v1/jobs", job_body)
+        assert status in (200, 202)
+        assert call("GET", f"/v1/jobs/{summary['id']}?wait=60")[1]["state"] == "done"
+        assert call("POST", "/v1/batch", json.dumps({"jobs": [json.loads(job_body)]}))[0] == 202
+        assert call("GET", "/v1/jobs")[0] == 200
+        assert call("GET", f"/v1/jobs/{summary['id']}/trace")[0] == 200
+        assert call("POST", f"/v1/jobs/{summary['id']}/cancel")[0] == 409
+        assert call("POST", "/fleet/v1/heartbeat", json.dumps({"node_id": "nobody"}))[0] in (
+            200, 404
+        )
+        assert call("GET", "/v1/jobs/job-nope")[0] == 404
+        assert_compact_json_bodies(json_bodies, at_least=len(answered))
 
 
 class TestFleetMetrics:

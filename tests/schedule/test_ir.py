@@ -1,6 +1,8 @@
 """Unit tests for the timed-schedule IR (TimedInstruction, Schedule)."""
 
 import json
+import math
+import re
 
 import pytest
 
@@ -40,6 +42,35 @@ class TestTimedInstruction:
     def test_negative_duration_rejected(self):
         with pytest.raises(ScheduleError):
             TimedInstruction("h", (0,), 0, -5)
+
+    def test_from_list_converts_like_the_constructor(self):
+        raw = ["cx", [0.0, "1"], 10.0, "20", [1, "0.5", -0.0], [True]]
+        built = TimedInstruction(raw[0], raw[1], raw[2], raw[3], params=raw[4], clbits=raw[5])
+        decoded = TimedInstruction.from_list(raw)
+        assert vars(decoded) == vars(built)
+        fields = (decoded.start, decoded.duration, *decoded.qubits, *decoded.params,
+                  *decoded.clbits)
+        assert [type(v) for v in fields] == [int, int, int, int, float, float, float, int]
+        assert float.hex(decoded.params[2]) == float.hex(-0.0)
+
+    @pytest.mark.parametrize(
+        "start,duration,message",
+        [
+            (-1, 35, "instruction 'h' starts before t=0: -1"),
+            (-1.5, -5, "instruction 'h' starts before t=0: -1"),
+            (0, -5, "instruction 'h' has negative duration"),
+        ],
+    )
+    def test_negative_times_raise_the_same_error_on_every_path(self, start, duration, message):
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(ScheduleError, match=exact):
+            TimedInstruction("h", (0,), start, duration)
+        with pytest.raises(ScheduleError, match=exact):
+            TimedInstruction.from_list(["h", [0], start, duration, [], []])
+        data = {"num_qubits": 1, "mode": "asap",
+                "instructions": [["h", [0], start, duration, [], []]]}
+        with pytest.raises(ScheduleError, match=exact):
+            Schedule.from_dict(data)
 
 
 class TestSchedule:
@@ -101,6 +132,27 @@ class TestSchedule:
         data = json.loads(json.dumps(sched.to_dict()))
         rebuilt = Schedule.from_dict(data)
         assert rebuilt.to_dict() == sched.to_dict()
+        assert rebuilt.fingerprint() == sched.fingerprint()
+
+    def test_dict_round_trip_keeps_every_parameter_bit(self):
+        sched = Schedule(
+            num_qubits=2,
+            mode="alap",
+            instructions=(
+                TimedInstruction("u", (1,), 0, 35, params=(-0.0, 5e-324, 1e300)),
+                TimedInstruction("rz", (0,), 0, 0, params=(-1e-300,)),
+                TimedInstruction("rzz", (0, 1), 35, 300, params=(math.pi,)),
+                TimedInstruction("measure", (1,), 335, 3000, clbits=(0,)),
+            ),
+        )
+        rebuilt = Schedule.from_dict(json.loads(json.dumps(sched.to_dict())))
+        assert rebuilt == sched
+        assert [vars(inst) for inst in rebuilt.instructions] == [
+            vars(inst) for inst in sched.instructions
+        ]
+        assert [tuple(map(float.hex, inst.params)) for inst in rebuilt.instructions] == [
+            tuple(map(float.hex, inst.params)) for inst in sched.instructions
+        ]
         assert rebuilt.fingerprint() == sched.fingerprint()
 
     def test_fingerprint_sensitive_to_content(self):

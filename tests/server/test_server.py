@@ -24,6 +24,8 @@ from repro.obs import parse_metric
 from repro.server import ReproServer
 from repro.service import BatchTranspiler
 
+from ..conftest import assert_compact_json_bodies
+
 
 def start_server(**kwargs):
     """Boot a server in a background thread (the shared ThreadedServer harness)."""
@@ -309,6 +311,49 @@ class TestErrorHandling:
         )
         assert status == 400
 
+    #: An option sent beside ``qasm`` instead of under ``options``.
+    MISPLACED = {"routing": "nassc", "seed": 4, "target": {"topology": "linear", "num_qubits": 5}}
+
+    @pytest.mark.parametrize(
+        "path,wrap",
+        [("/v1/jobs", lambda body: body), ("/v1/batch", lambda body: {"jobs": [body]})],
+        ids=["job", "batch-entry"],
+    )
+    def test_option_beside_qasm_400(self, live, path, wrap):
+        """``routing``/``seed`` beside ``qasm`` are refused by name, never compiled as a
+        default SABRE job."""
+        body = dict(self.MISPLACED, qasm=qasm.dumps(small_circuit()))
+        status, raw, _ = raw_request(live, "POST", path, body=json.dumps(wrap(body)))
+        assert status == 400
+        message = json.loads(raw)["error"]["message"]
+        assert "routing" in message and "seed" in message
+        if path == "/v1/batch":
+            assert message.startswith("jobs[0]: ")
+
+    def test_unknown_batch_key_400(self, live):
+        body = {"jobs": [{"qasm": qasm.dumps(small_circuit())}], "routing": "nassc"}
+        status, raw, _ = raw_request(live, "POST", "/v1/batch", body=json.dumps(body))
+        assert status == 400
+        assert "routing" in json.loads(raw)["error"]["message"]
+
+    def test_client_bodies_are_admitted(self, live):
+        """What ``submit_job`` and ``submit_batch`` send (with ``client`` and
+        ``priority``) stays inside the accepted keys."""
+        client = live.client(client_id="alice")
+        target = linear_target()
+        job = TranspileJob.from_circuit(
+            small_circuit("admitted"), target, TranspileOptions(routing="sabre", seed=71)
+        )
+        assert client.submit_job(job, priority=3).result(timeout=60).cx_count > 0
+        batch = [
+            TranspileJob.from_circuit(
+                small_circuit(f"admitted{i}"), target, TranspileOptions(routing="sabre", seed=i)
+            )
+            for i in range(72, 74)
+        ]
+        handles = client.submit_batch(batch, priority=2)
+        assert [handle.result(timeout=60).cx_count > 0 for handle in handles] == [True, True]
+
     def test_submit_rejects_bare_coupling_map(self, live):
         from repro import linear_coupling_map
         from repro.exceptions import TranspilerError
@@ -547,3 +592,41 @@ class TestScheduleSurface:
         )
         handle.result(timeout=120)
         assert "schedule" not in handle.status()["result"]
+
+
+class TestWireFormat:
+    def test_every_route_answers_one_line_of_compact_json(self, live, frozen, json_bodies):
+        """Each JSON body decodes to what the old ``indent=2`` encoding decodes to."""
+        target = Target.from_topology("linear", 5, calibrated=True)
+        job = TranspileJob.from_circuit(
+            small_circuit("wire"), target,
+            TranspileOptions(routing="sabre", seed=81, schedule="asap"),
+        )
+        body = json.dumps(job.to_dict())
+        answered = []
+
+        def call(handle, method, path, payload=None):
+            status, raw, headers = raw_request(handle, method, path, body=payload)
+            assert headers["Content-Type"].startswith("application/json")
+            answered.append(path)
+            return status, json.loads(raw)
+
+        for path in ("/healthz", "/v1/methods", "/v1/targets"):
+            assert call(live, "GET", path)[0] == 200
+        status, summary = call(live, "POST", "/v1/jobs", body)
+        assert status in (200, 202)
+        status, done = call(live, "GET", f"/v1/jobs/{summary['id']}?wait=60")
+        assert done["state"] == "done" and done["result"]["schedule"]["instructions"]
+        assert call(live, "POST", "/v1/jobs", body)[1]["from_cache"] is True
+        assert call(live, "POST", "/v1/batch", json.dumps({"jobs": [job.to_dict()]}))[0] == 202
+        assert call(live, "GET", "/v1/jobs")[0] == 200
+        assert call(live, "GET", f"/v1/jobs/{summary['id']}/trace")[0] == 200
+        assert call(live, "POST", f"/v1/jobs/{summary['id']}/cancel")[0] == 409
+        assert call(live, "GET", f"/v1/cache/{summary['fingerprint']}")[0] == 200
+        assert call(live, "GET", "/v1/cache/" + "0" * 64)[0] == 404
+        assert call(live, "GET", "/v1/nope")[0] == 404
+        assert call(live, "POST", "/v1/jobs", "{not json")[0] == 400
+        queued = call(frozen, "POST", "/v1/jobs", body)[1]
+        assert call(frozen, "POST", f"/v1/jobs/{queued['id']}/cancel")[0] == 200
+        assert call(frozen, "DELETE", f"/v1/jobs/{queued['id']}")[0] == 200
+        assert_compact_json_bodies(json_bodies, at_least=len(answered))

@@ -21,6 +21,8 @@ from repro.circuit import qasm
 from repro.hardware import evaluation_devices
 from repro.transpiler.registry import available_routings
 
+from ..circuit.reference_qasm import assert_matches_reference
+
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_o1_hashes.json")
 
 with open(GOLDEN_PATH, encoding="utf-8") as _handle:
@@ -76,3 +78,6 @@ def test_o1_output_matches_golden_hash(key, targets, circuits):
     assert result.cx_count == expected["cx_count"]
     assert result.depth == expected["depth"]
     assert result.num_swaps == expected["num_swaps"]
+    # The served-result decode path: both QASM readers parse the output back exactly as
+    # the pre-rewrite reference parser does.
+    assert_matches_reference(text)
