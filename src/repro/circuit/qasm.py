@@ -2,8 +2,9 @@
 
 Covers the subset of OpenQASM 2.0 used by the benchmark suites the paper draws from
 (QASMBench / RevLib exports): ``qreg``/``creg`` declarations, the standard ``qelib1.inc``
-gate set, parameter expressions built from numbers and ``pi``, ``measure``, ``barrier``,
-and user-defined ``gate`` blocks (which are inlined during parsing).
+gate set, parameter expressions built from numbers, ``pi``, arithmetic, parentheses and
+``sin``/``cos``/``tan``/``exp``/``ln``/``sqrt``, ``measure``, ``barrier``, and
+user-defined ``gate`` blocks (which are inlined during parsing).
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ def _eval_ast(text: str, bindings: Optional[Dict[str, float]] = None) -> float:
 
     try:
         value = walk(tree)
-    except (ArithmeticError, RecursionError) as exc:
+    except (ArithmeticError, ValueError, RecursionError) as exc:
+        # ValueError: a math domain error, such as ``sqrt(-1)`` or ``ln(0)``.
         raise QASMError(f"cannot evaluate parameter expression {text!r}: {exc}") from exc
     if not isinstance(value, float):  # a negative base to a fractional power is complex
         raise QASMError(f"parameter expression {text!r} is not a real number")
@@ -135,7 +137,9 @@ class _GateDef:
 
 
 _TERMINATOR_RE = re.compile(r"([;{}])")
-_CALL_RE = re.compile(r"(\w+)\s*(\(([^)]*)\))?\s*(.*)", re.S)
+#: A call's parameter list runs to its last ``)``: an operand (``q``, ``q[3]``) never holds
+#: one, so a parameter may hold parentheses itself (``rz(sin(pi/2))``, ``rz((1+2)*pi)``).
+_CALL_RE = re.compile(r"(\w+)\s*(\((.*)\))?\s*(.*)", re.S)
 _REGISTER_RE = re.compile(r"(qreg|creg)\s+(\w+)\s*\[\s*(\d+)\s*\]")
 _GATE_DEF_RE = re.compile(r"gate\s+(\w+)\s*(\(([^)]*)\))?\s*(.*)", re.S)
 _MEASURE_RE = re.compile(r"measure\s+(.+?)\s*->\s*(.+)")
@@ -173,8 +177,9 @@ def _iter_statement_tokens(chunks: Iterable[str]) -> Iterator[str]:
     ``chunks`` is the source cut at line boundaries: one line at a time (the streaming
     reader) or the whole text in one piece (:func:`loads`).  Yields every
     ``;``-terminated statement with the terminator stripped, plus bare ``{`` / ``}``
-    tokens; text between a ``}`` and the terminator before it, and an unterminated
-    tail, are dropped.  Only the current incomplete statement is held between chunks.
+    tokens.  Text before a ``}`` or at the end of the input that no ``;`` terminates is
+    a :class:`QASMError`: a truncated source must not lose its last statement silently.
+    Only the current incomplete statement is held between chunks.
     """
     buffer = ""
     for chunk in chunks:
@@ -185,14 +190,18 @@ def _iter_statement_tokens(chunks: Iterable[str]) -> Iterator[str]:
         *pieces, buffer = _TERMINATOR_RE.split(buffer)
         pairs = iter(pieces)
         for text, terminator in zip(pairs, pairs):
+            text = text.strip()
             if terminator == "}":
+                if text:
+                    raise QASMError(f"missing ';' after {text!r} before '}}'")
                 yield "}"
                 continue
-            text = text.strip()
             if text:
                 yield text
             if terminator == "{":
                 yield "{"
+    if buffer.strip():
+        raise QASMError(f"missing ';' after {buffer.strip()!r} at the end of the input")
 
 
 def _gate_instruction(
@@ -233,8 +242,6 @@ class _QASMParser:
         self.gate_defs: Dict[str, _GateDef] = {}
         self.num_qubits = 0
         self.num_clbits = 0
-        #: Barriers that named no qubit; :func:`loads` widens them to the full register.
-        self.bare_barriers = 0
         # Operand text -> resolved indices.  A register name is declared once, so an
         # entry never goes stale; only canonical spellings (``q[3]``, ``q``) are kept,
         # which bounds each memo by the declared registers rather than the source length.
@@ -374,10 +381,11 @@ class _QASMParser:
         qubits: List[int] = []
         for operand in _split_operands(stmt[len("barrier"):]):
             qubits.extend(self._qubits(operand))
+        if not qubits:
+            # OpenQASM 2.0 has no operand-less barrier.
+            raise QASMError(f"barrier on no qubits: {stmt!r}")
         if len(set(qubits)) != len(qubits):
             raise QASMError(f"duplicate qubit arguments in {stmt!r}")
-        if not qubits:
-            self.bare_barriers += 1
         return Instruction.trusted(_BARRIER, tuple(qubits))
 
     def _call(self, stmt: str, out: _Sink) -> None:
@@ -475,14 +483,6 @@ def loads(text: str) -> QuantumCircuit:
     data: List[Instruction] = []
     for stmt in tokens:
         parser.statement(stmt, tokens, data)
-    if parser.bare_barriers:
-        # A barrier naming no qubit spans the whole register, as circuit.barrier() does.
-        everything = tuple(range(parser.num_qubits))
-        data = [
-            Instruction.trusted(_BARRIER, everything)
-            if inst.gate is _BARRIER and not inst.qubits else inst
-            for inst in data
-        ]
     circuit = QuantumCircuit(parser.num_qubits, parser.num_clbits, "qasm_circuit")
     circuit.data = data
     return circuit

@@ -1,7 +1,7 @@
 """The paper's contribution: NASSC optimization-aware routing and the compile pipelines."""
 
 from .estimators import OptimizationEstimator, SwapEstimate
-from .nassc import NASSCConfig, NASSCRouting, NASSCSwapRouter
+from .nassc import NASSCConfig, NASSCSwapRouter
 from .options import LEVEL_DESCRIPTIONS, OPTIMIZATION_LEVELS, TranspileOptions, normalize_level
 from .pipeline import (
     PIPELINE_VERSION,
@@ -17,7 +17,6 @@ __all__ = [
     "OptimizationEstimator",
     "SwapEstimate",
     "NASSCConfig",
-    "NASSCRouting",
     "NASSCSwapRouter",
     "LEVEL_DESCRIPTIONS",
     "OPTIMIZATION_LEVELS",

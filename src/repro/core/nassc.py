@@ -18,7 +18,7 @@ import numpy as np
 from ..circuit.dag import DAGNode
 from ..hardware.coupling import CouplingMap
 from ..obs.counters import COUNTERS
-from ..transpiler.passes.sabre import SabreRouting, SabreSwapRouter
+from ..transpiler.passes.sabre import SabreSwapRouter
 from .estimators import OptimizationEstimator, SwapEstimate
 
 
@@ -49,27 +49,14 @@ class NASSCConfig:
 
 
 class NASSCSwapRouter(SabreSwapRouter):
-    """Optimization-aware SWAP router (NASSC)."""
+    """Optimization-aware SWAP router (NASSC); ``**kwargs`` are the SABRE router's."""
+
+    pass_name = "NASSCRouting"
 
     def __init__(
-        self,
-        coupling_map: CouplingMap,
-        *,
-        config: Optional[NASSCConfig] = None,
-        extended_set_size: int = 20,
-        extended_set_weight: float = 0.5,
-        decay_delta: float = 0.001,
-        seed: Optional[int] = None,
-        distance_matrix: Optional[np.ndarray] = None,
+        self, coupling_map: CouplingMap, *, config: Optional[NASSCConfig] = None, **kwargs
     ) -> None:
-        super().__init__(
-            coupling_map,
-            extended_set_size=extended_set_size,
-            extended_set_weight=extended_set_weight,
-            decay_delta=decay_delta,
-            seed=seed,
-            distance_matrix=distance_matrix,
-        )
+        super().__init__(coupling_map, **kwargs)
         self.config = config or NASSCConfig()
         self._estimator = OptimizationEstimator()
         self._estimates: Dict[Tuple[int, int], SwapEstimate] = {}
@@ -182,16 +169,3 @@ class NASSCSwapRouter(SabreSwapRouter):
             return f"ctrl:{estimate.orientation}"
         return None
 
-
-class NASSCRouting(SabreRouting):
-    """Transpiler pass wrapper around :class:`NASSCSwapRouter`."""
-
-    def __init__(
-        self, coupling_map: CouplingMap, *, config: Optional[NASSCConfig] = None, **kwargs
-    ) -> None:
-        super().__init__(
-            coupling_map,
-            router_cls=NASSCSwapRouter,
-            router_kwargs={"config": config},
-            **kwargs,
-        )

@@ -21,8 +21,8 @@ Streaming constraints (checked up front, with guidance in the error):
   fixed-point loops and cannot run over a window;
 * ``layout_iterations`` must be ``0`` — reverse-traversal layout refinement routes the
   entire circuit forward and backward before compilation proper starts;
-* ``best_of`` / ``schedule`` are unsupported, and the routing method must provide a
-  router class (all built-ins except ``"none"`` do).
+* ``best_of`` / ``schedule`` are unsupported, and the routing method must route
+  (``"none"`` builds no router).
 
 ``noise_aware`` and ``route_cost="ns"`` work exactly as in :func:`transpile`: they only
 change the distance matrix the router scores against.
@@ -161,10 +161,9 @@ def _validate_stream_options(options: TranspileOptions, plan) -> None:
         raise TranspilerError("best_of ensemble routing cannot run over a stream")
     if options.schedule is not None:
         raise TranspilerError("schedule lowering cannot run over a stream")
-    if plan is None or plan.routing_router_cls is None:
+    if plan is None:
         raise TranspilerError(
-            f"routing method {options.routing!r} does not support streaming "
-            "(no per-run router class)"
+            f"routing method {options.routing!r} does not support streaming (no router)"
         )
 
 
@@ -228,8 +227,8 @@ def transpile_stream(
         },
     )
 
-    # The builder checks the target against the options and resolves the routing plan
-    # and distance matrix exactly as transpile() does.
+    # The builder checks the target against the options and configures the router
+    # exactly as transpile() does.
     builder = PipelineBuilder(resolved_target, resolved)
     plan = builder.plan
     _validate_stream_options(resolved, plan)
@@ -241,12 +240,7 @@ def transpile_stream(
             f"circuit needs {src_qubits} qubits but the device has {coupling.num_qubits}"
         )
 
-    router = plan.routing_router_cls(
-        coupling,
-        seed=resolved.seed,
-        distance_matrix=builder.distance_matrix,
-        **plan.routing_router_kwargs,
-    )
+    router = builder.make_router(resolved.seed)
     # Same seed layout SabreLayoutSelection starts from; with layout_iterations=0 the
     # in-memory pipeline uses it unrefined, so the two paths start identically.
     layout = Layout.random(src_qubits, coupling.num_qubits, seed=resolved.seed)

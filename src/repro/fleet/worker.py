@@ -145,7 +145,10 @@ class FleetWorkerServer(ReproServer):
             self._absorb(data)
 
     async def _membership_loop(self) -> None:
-        while True:
+        # Ends once the server drains, not only on cancel: ``asyncio.wait_for`` (inside
+        # ``httpclient.fetch``) can return a finished reply and drop a cancel that
+        # lands in the same loop iteration, and ``_on_stop`` then waits on this task.
+        while not self.draining:
             if not self.registered:
                 await self._register()
             else:

@@ -465,6 +465,11 @@ class _ThreeCXTemplate:
         return results
 
 
+def _core_three_cx(coords: Tuple[float, float, float]) -> Iterator[QuantumCircuit]:
+    """The 3-CNOT template's candidates, built only once every earlier core failed."""
+    yield from _ThreeCXTemplate.candidates(coords)
+
+
 def _core_fallback(coords: Tuple[float, float, float]) -> Iterator[QuantumCircuit]:
     """Exact construction of ``A(x,y,z)`` with 4 CNOTs — always correct, used as a fallback.
 
@@ -498,9 +503,10 @@ class SynthesisResult:
     global_phase: float
 
 
-#: Op count of the shortest candidate core for each target CNOT count 0..3.  Every
-#: candidate core of count ``T`` holds ``T`` CNOTs, and a synthesised circuit holds at
-#: least its core, so this bounds the length of any optimal synthesis from below.
+#: Op count of the shortest candidate core for each target CNOT count 0..3.  A synthesis
+#: for count ``T`` holds ``T`` CNOTs or more (for ``T = 2`` the 3-CNOT template follows the
+#: 2-CNOT cores, and the fallback holds 4), and a synthesised circuit holds at least its
+#: core, so this bounds from below the length of any synthesis with exactly ``T`` CNOTs.
 SHORTEST_CORE_OPS = (0, 1, 4, 6)
 
 
@@ -527,9 +533,12 @@ class TwoQubitSynthesizer:
         elif target_count == 1:
             candidate_cores = _core_single_cx(coords)
         elif target_count == 2:
-            candidate_cores = _core_two_cx(coords)
+            # Coordinates just off the canonical chamber (``random_su4(807)`` reads
+            # (0.376, -6.0e-7, -0.953)) can defeat all eight 2-CNOT pairings; the 3-CNOT
+            # template still assembles such a unitary, within the 3-CNOT bound.
+            candidate_cores = itertools.chain(_core_two_cx(coords), _core_three_cx(coords))
         else:
-            candidate_cores = _ThreeCXTemplate.candidates(coords)
+            candidate_cores = _core_three_cx(coords)
 
         # The guaranteed fallback comes last: A(a,b,c) exactly, sandwiched with the locals.
         for core in itertools.chain(candidate_cores, _core_fallback(coords)):

@@ -31,7 +31,7 @@ from .passes.basis import CheckRoutable, Decompose
 from .passes.check_map import CheckMap
 from .passes.commutation import CommutativeCancellation
 from .passes.optimize_1q import Optimize1qGates, RemoveIdentities
-from .passes.sabre import SabreLayoutSelection, SabreSwapRouter
+from .passes.sabre import SabreLayoutSelection, SabreRouting, SabreSwapRouter
 from .passes.swap_lowering import SwapLowering
 from .passes.unitary_synthesis import UnitarySynthesis
 from .registry import RoutingPlan, get_routing
@@ -148,25 +148,24 @@ class PipelineBuilder:
             # Nanosecond-cost routing replaces the distance matrix outright; when O3
             # auto-enables noise awareness, the explicit duration request wins.
             distance_matrix = target.duration_distance_matrix()
-        elif self.noise_aware and target.has_calibration:
+        elif self.noise_aware:
             distance_matrix = target.noise_distance_matrix()
 
-        plan = method.factory(target, options, distance_matrix=distance_matrix)
+        plan = method.factory(target, options)
+        if (plan is not None) != method.requires_coupling:
+            # A plan routes, and routing needs a coupling map; the registry's
+            # ``supports_best_of`` (read by the server's trial fan-out) assumes as much.
+            raise TranspilerError(
+                f"routing method {method.name!r} returned "
+                + ("a routing plan" if plan is not None else "no routing plan")
+                + f" but is registered with requires_coupling={method.requires_coupling}"
+            )
         #: The routing method's plan (``None`` for ``routing="none"``) and the distance
         #: matrix its routers score against (``None`` = the coupling map's hop count);
-        #: :func:`repro.core.stream.transpile_stream` builds its router from these.
+        #: :meth:`make_router` builds every router of the compile from these.
         self.plan: Optional[RoutingPlan] = plan
         self.distance_matrix = distance_matrix
-        self.ensemble_trials = (
-            options.effective_best_of
-            if (
-                options.effective_best_of > 1
-                and method.supports_best_of
-                and plan is not None
-                and plan.routing_router_cls is not None
-            )
-            else 1
-        )
+        self.ensemble_trials = options.effective_best_of if method.supports_best_of else 1
         level = options.level
         optimize = level != "O0"
         final_basis = target.final_basis
@@ -219,6 +218,23 @@ class PipelineBuilder:
                 ScheduleAnalysis(target.calibration, options.schedule)
             ]
 
+    def make_router(self, seed: Optional[int], *, layout: bool = False) -> SabreSwapRouter:
+        """A fresh router of this compile's routing method, seeded with ``seed``.
+
+        The one place a router is configured: the layout sweeps (``layout=True``), the
+        routing pass, every ensemble trial and :func:`repro.core.stream.transpile_stream`
+        all build theirs here.  The plan's ``router_kwargs`` are joined by the seed, the
+        distance matrix and, except for layout sweeps (which keep the router's default
+        lookahead), the options' ``extended_set_size``/``extended_set_weight``.
+        """
+        kwargs = dict(self.plan.router_kwargs)
+        if not layout:
+            kwargs["extended_set_size"] = self.options.extended_set_size
+            kwargs["extended_set_weight"] = self.options.extended_set_weight
+        return self.plan.router_cls(
+            self.target.coupling_map, seed=seed, distance_matrix=self.distance_matrix, **kwargs
+        )
+
     def _apply_routing_plan(self, plan: RoutingPlan) -> None:
         options = self.options
         if self.ensemble_trials > 1:
@@ -227,22 +243,14 @@ class PipelineBuilder:
             # trial), keeping the winner by the two-qubit/depth/noise estimators.
             from .ensemble import EnsembleRouting
 
-            layout_kwargs = dict(plan.layout_router_kwargs)
-            layout_kwargs.pop("distance_matrix", None)
-            routing_kwargs = dict(plan.routing_router_kwargs)
             self.stages["layout"] = []
             self.stages["routing"] = [
                 EnsembleRouting(
-                    self.target.coupling_map,
+                    self.make_router,
                     num_trials=self.ensemble_trials,
                     seed=options.seed,
                     layout_iterations=options.layout_iterations,
-                    router_cls=plan.routing_router_cls,
-                    layout_router_cls=plan.layout_router_cls or SabreSwapRouter,
-                    router_kwargs=routing_kwargs,
-                    layout_router_kwargs=layout_kwargs,
-                    distance_matrix=self.distance_matrix,
-                    noise_aware=self.noise_aware and self.target.has_calibration,
+                    noise_aware=self.noise_aware,
                     trial_subset=self.trial_subset,
                 ),
                 *plan.post_routing,
@@ -250,11 +258,8 @@ class PipelineBuilder:
             return
         self.stages["layout"] = [
             SabreLayoutSelection(
-                self.target.coupling_map,
+                self.make_router(options.seed, layout=True),
                 iterations=options.layout_iterations,
-                seed=options.seed,
-                router_cls=plan.layout_router_cls or SabreSwapRouter,
-                router_kwargs=dict(plan.layout_router_kwargs),
             )
         ]
-        self.stages["routing"] = [plan.routing_pass, *plan.post_routing]
+        self.stages["routing"] = [SabreRouting(self.make_router(options.seed)), *plan.post_routing]

@@ -29,12 +29,11 @@ lets the server fan chunks across its process pool and reduce by the same key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import TranspilerError
-from ..hardware.coupling import CouplingMap
 from ..obs.counters import COUNTERS
 from ..obs.tracer import current_tracer
 from .passmanager import PropertySet, TransformationPass
@@ -176,16 +175,16 @@ def _stacked_sums(
     return out
 
 
-def _evaluate_batch(
-    pairs: List[Tuple[_Trial, ScoreRequest]], distance: np.ndarray
-) -> None:
+def _evaluate_batch(pairs: List[Tuple[_Trial, ScoreRequest]]) -> None:
     """Answer every live trial's pending request, batching the kernel work.
 
-    Every trial router aliases the one shared distance matrix, so each request
-    contributes its front (and extended) index tables to one stacked kernel call each;
-    the per-trial finalization (decay, NASSC estimates) then runs on each trial's
-    slice.  ``trial.reply`` ends up bit-identical to ``request.evaluate()``.
+    Every trial router aliases the one distance matrix of the compile (one builder
+    made them all), so each request contributes its front (and extended) index tables
+    to one stacked kernel call each; the per-trial finalization (decay, NASSC
+    estimates) then runs on each trial's slice.  ``trial.reply`` ends up bit-identical
+    to ``request.evaluate()``.
     """
+    distance = pairs[0][1].router.distance
     COUNTERS.inc("routing.ensemble.batched_steps")
     COUNTERS.inc("routing.ensemble.batched_requests", len(pairs))
     front_tables = []
@@ -226,10 +225,14 @@ def _evaluate_batch(
 class EnsembleRouting(TransformationPass):
     """Layout + routing over ``num_trials`` seeds, keeping the best routed circuit.
 
-    Replaces the (SabreLayoutSelection, SabreRouting/NASSCRouting) stage pair when
+    Replaces the (SabreLayoutSelection, SabreRouting) stage pair when
     ``TranspileOptions.best_of > 1``.  Sets the same ``layout`` / ``initial_layout`` /
     ``final_layout`` / ``num_swaps`` properties those passes set, plus an
     ``"ensemble"`` summary with per-trial outcomes.
+
+    ``make_router(seed, layout=False)`` builds each trial's routers
+    (:meth:`~repro.transpiler.builder.PipelineBuilder.make_router`); they all score
+    against one distance matrix, which the batched kernel reads.
 
     ``trial_subset`` restricts execution to the given global trial indices without
     changing their seeds — the server fans large ``K`` across its process pool as
@@ -239,16 +242,11 @@ class EnsembleRouting(TransformationPass):
 
     def __init__(
         self,
-        coupling_map: CouplingMap,
+        make_router: Callable[..., SabreSwapRouter],
         *,
         num_trials: int,
         seed: Optional[int] = None,
         layout_iterations: int = 2,
-        router_cls: type = SabreSwapRouter,
-        layout_router_cls: Optional[type] = None,
-        router_kwargs: Optional[Dict] = None,
-        layout_router_kwargs: Optional[Dict] = None,
-        distance_matrix: Optional[np.ndarray] = None,
         noise_aware: bool = False,
         trial_subset: Optional[Sequence[int]] = None,
         prune: bool = True,
@@ -256,22 +254,10 @@ class EnsembleRouting(TransformationPass):
         super().__init__()
         if int(num_trials) < 1:
             raise TranspilerError(f"num_trials must be >= 1, got {num_trials}")
-        self.coupling_map = coupling_map
+        self.make_router = make_router
         self.num_trials = int(num_trials)
         self.seed = seed
         self.layout_iterations = layout_iterations
-        self.router_cls = router_cls
-        self.layout_router_cls = layout_router_cls or router_cls
-        self.router_kwargs = dict(router_kwargs or {})
-        self.layout_router_kwargs = dict(layout_router_kwargs or {})
-        base = (
-            distance_matrix
-            if distance_matrix is not None
-            else coupling_map.distance_matrix()
-        )
-        #: One shared C-contiguous matrix; every trial router aliases it, which is
-        #: what lets their requests stack into one kernel call.
-        self.distance = np.ascontiguousarray(np.asarray(base, dtype=float))
         self.noise_aware = noise_aware
         if trial_subset is not None:
             subset = sorted({int(i) for i in trial_subset})
@@ -287,32 +273,25 @@ class EnsembleRouting(TransformationPass):
     # ------------------------------------------------------------------
 
     def _make_trial(self, index: int, layout_seed: int, routing_seed: int) -> _Trial:
-        layout_kwargs = dict(self.layout_router_kwargs)
-        layout_kwargs["seed"] = layout_seed
-        layout_kwargs["distance_matrix"] = self.distance
-        routing_kwargs = dict(self.router_kwargs)
-        routing_kwargs["seed"] = routing_seed
-        routing_kwargs["distance_matrix"] = self.distance
         return _Trial(
             index=index,
             layout_seed=layout_seed,
             routing_seed=routing_seed,
-            layout_router=self.layout_router_cls(self.coupling_map, **layout_kwargs),
-            router=self.router_cls(self.coupling_map, **routing_kwargs),
+            layout_router=self.make_router(layout_seed, layout=True),
+            router=self.make_router(routing_seed),
             outcome=TrialOutcome(index, layout_seed, routing_seed),
         )
 
     def _trial_steps(self, trial: _Trial, dag, frontier, traversals):
         """Full trial flow as one generator: random layout, refinement, routing."""
-        layout = Layout.random(
-            dag.num_qubits, self.coupling_map.num_qubits, seed=trial.layout_seed
-        )
+        num_physical = trial.router.coupling_map.num_qubits
+        layout = Layout.random(dag.num_qubits, num_physical, seed=trial.layout_seed)
         if traversals is not None:
             layout = yield from layout_selection_steps(
                 trial.layout_router, layout, self.layout_iterations, traversals
             )
         trial.routing_phase = True
-        routed, emit = dag_emitter(dag, self.coupling_map.num_qubits)
+        routed, emit = dag_emitter(dag, num_physical)
         result = yield from trial.router.route_steps(frontier.copy(), layout, emit=emit)
         result.dag = routed
         return result
@@ -377,7 +356,7 @@ class EnsembleRouting(TransformationPass):
                         kept.append((trial, request))
                 pending = kept
             if pending:
-                _evaluate_batch(pending, self.distance)
+                _evaluate_batch(pending)
 
         if not finished:
             raise TranspilerError("ensemble routing finished no trial")
@@ -403,7 +382,7 @@ class EnsembleRouting(TransformationPass):
     def _finish_trial(self, trial: _Trial, result: RoutingResult, tracer) -> None:
         trial.result = result
         est_2q, depth, noise_cost = _trial_metrics(
-            result, self.distance, self.noise_aware
+            result, trial.router.distance, self.noise_aware
         )
         # Noise cost participates in the ordering only for noise-aware routing; the
         # trailing index makes the key a total order (deterministic winner).

@@ -45,6 +45,10 @@ from .layout import Layout
 #: constant dominates the estimator scan depths.
 WIRE_HISTORY_BOUND = 24
 
+#: Decay added to both qubits of every inserted SWAP (reset once a gate executes), so
+#: the router spreads consecutive SWAPs over the device instead of reusing hot qubits.
+DECAY_DELTA = 0.001
+
 
 def front_ext_sums(
     distance: np.ndarray, mapped_a: np.ndarray, mapped_b: np.ndarray, front_cols: int
@@ -259,8 +263,13 @@ class SabreSwapRouter:
     """SWAP-based bidirectional heuristic router (SABRE).
 
     Parameters mirror the paper's configuration (Sec. V): extended-layer size 20 and
-    extended-layer weight 0.5.
+    extended-layer weight 0.5.  A routing method is one router class (this one or a
+    subclass); :meth:`repro.transpiler.builder.PipelineBuilder.make_router` builds every
+    router a compile uses.
     """
+
+    #: Name of the :class:`SabreRouting` pass that wraps this router (timing-log key).
+    pass_name = "SabreRouting"
 
     #: Number of SWAP insertions without resolving any gate before the safety valve engages.
     _STALL_LIMIT_FACTOR = 10
@@ -271,14 +280,12 @@ class SabreSwapRouter:
         *,
         extended_set_size: int = 20,
         extended_set_weight: float = 0.5,
-        decay_delta: float = 0.001,
         seed: Optional[int] = None,
         distance_matrix: Optional[np.ndarray] = None,
     ) -> None:
         self.coupling_map = coupling_map
         self.extended_set_size = extended_set_size
         self.extended_set_weight = extended_set_weight
-        self.decay_delta = decay_delta
         self.seed = seed
         self.distance = np.ascontiguousarray(
             np.asarray(distance_matrix, dtype=float)
@@ -405,8 +412,8 @@ class SabreSwapRouter:
             if label:
                 swap_labels[position] = label
             layout.swap_physical(*swap)
-            self._decay[swap[0]] += self.decay_delta
-            self._decay[swap[1]] += self.decay_delta
+            self._decay[swap[0]] += DECAY_DELTA
+            self._decay[swap[1]] += DECAY_DELTA
             num_swaps += 1
             self.swaps_so_far = num_swaps
             stall_counter += 1
@@ -583,27 +590,16 @@ class SabreSwapRouter:
 
 
 class SabreRouting(TransformationPass):
-    """Transpiler pass wrapper around :class:`SabreSwapRouter` (or a subclass)."""
+    """Transpiler pass wrapper around a built :class:`SabreSwapRouter` (or a subclass).
 
-    def __init__(
-        self,
-        coupling_map: CouplingMap,
-        *,
-        extended_set_size: int = 20,
-        extended_set_weight: float = 0.5,
-        seed: Optional[int] = None,
-        distance_matrix: Optional[np.ndarray] = None,
-        router_cls: type = SabreSwapRouter,
-        router_kwargs: Optional[dict] = None,
-    ) -> None:
+    The pass takes its name from the router's ``pass_name``, so the timing log reads
+    ``SabreRouting`` or ``NASSCRouting`` by routing method.
+    """
+
+    def __init__(self, router: SabreSwapRouter) -> None:
         super().__init__()
-        self.coupling_map = coupling_map
-        kwargs = dict(router_kwargs or {})
-        kwargs.setdefault("extended_set_size", extended_set_size)
-        kwargs.setdefault("extended_set_weight", extended_set_weight)
-        kwargs.setdefault("seed", seed)
-        kwargs.setdefault("distance_matrix", distance_matrix)
-        self.router = router_cls(coupling_map, **kwargs)
+        self.name = router.pass_name
+        self.router = router
 
     def run(self, dag: DAGCircuit, property_set: PropertySet) -> DAGCircuit:
         layout = property_set.get("layout") or Layout.trivial(dag.num_qubits)
@@ -619,31 +615,21 @@ class SabreLayoutSelection(AnalysisPass):
 
     This is the layout method the paper uses for both SABRE and NASSC (Sec. IV-A): route the
     circuit forward, use the final mapping as the initial mapping of the reversed circuit,
-    route backward, and repeat.  The refined layout is stored in ``property_set["layout"]``.
+    route backward, and repeat.  ``router`` runs the sweeps, and its seed also draws the
+    random start.  The refined layout is stored in ``property_set["layout"]``.
     """
 
-    def __init__(
-        self,
-        coupling_map: CouplingMap,
-        *,
-        iterations: int = 2,
-        seed: Optional[int] = None,
-        router_cls: type = SabreSwapRouter,
-        router_kwargs: Optional[dict] = None,
-    ) -> None:
+    def __init__(self, router: SabreSwapRouter, *, iterations: int = 2) -> None:
         super().__init__()
-        self.coupling_map = coupling_map
+        self.router = router
         self.iterations = iterations
-        self.seed = seed
-        kwargs = dict(router_kwargs or {})
-        kwargs.setdefault("seed", seed)
-        self.router = router_cls(coupling_map, **kwargs)
 
     def run(self, dag: DAGCircuit, property_set: PropertySet) -> None:
-        layout = Layout.random(dag.num_qubits, self.coupling_map.num_qubits, seed=self.seed)
+        router = self.router
+        layout = Layout.random(dag.num_qubits, router.coupling_map.num_qubits, seed=router.seed)
         traversals = layout_traversals(dag) if self.iterations > 0 else None
         if traversals is not None:
             layout = drive_steps(
-                layout_selection_steps(self.router, layout, self.iterations, traversals)
+                layout_selection_steps(router, layout, self.iterations, traversals)
             )
         property_set["layout"] = layout

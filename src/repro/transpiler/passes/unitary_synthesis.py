@@ -113,8 +113,11 @@ class UnitarySynthesis(TransformationPass):
     ) -> _Template:
         """The block's replacement template, or ``None`` to keep it as written.
 
-        A synthesis has the target count ``T`` of CNOTs (4 from the fallback) in at least
-        ``SHORTEST_CORE_OPS[T]`` ops; when even that best case is kept, none is assembled.
+        A synthesis holds at least the target count ``T`` of CNOTs (for ``T = 2`` the
+        3-CNOT template may give 3; the fallback gives 4), and one holding exactly ``T``
+        has at least ``SHORTEST_CORE_OPS[T]`` ops.  When even that best case is kept, so
+        is every synthesis: a keep needs ``T`` at least the block's CNOT count, and
+        ``_keeps`` keeps any synthesis with more.  Then none is assembled.
         """
         global _SYNTH_HITS, _SYNTH_MISSES, _SYNTH_DECIDED_EARLY
         signature = _block_signature(nodes, pair)

@@ -4,14 +4,16 @@ Routing used to be a hard-coded three-way string dispatch inside ``transpile()``
 registry turns each method into a named plugin: a factory that, given the compilation
 :class:`~repro.hardware.target.Target` and :class:`~repro.core.options.TranspileOptions`,
 returns the :class:`RoutingPlan` the staged pipeline builder splices into its ``layout``
-and ``routing`` stages.  The builder, the CLI's ``--routing`` choices, and
-``TranspileJob`` validation all consult the registry, so registering a new router makes
-it usable by name through every entry point at once::
+and ``routing`` stages.  A routing method is one router class, a
+:class:`~repro.transpiler.passes.sabre.SabreSwapRouter` subclass (NASSC is SABRE with an
+optimization-aware cost and SWAP labels).  The builder, the CLI's ``--routing`` choices,
+and ``TranspileJob`` validation all consult the registry, so registering a new router
+makes it usable by name through every entry point at once::
 
     from repro.transpiler.registry import RoutingPlan, register_routing
 
-    def my_factory(target, options, distance_matrix=None):
-        return RoutingPlan(routing_pass=MyRoutingPass(target.coupling_map, seed=options.seed))
+    def my_factory(target, options):
+        return RoutingPlan(MyRouter)
 
     register_routing("mymethod", my_factory, description="my custom router")
 
@@ -41,29 +43,24 @@ PLUGINS_ENV = "REPRO_ROUTING_PLUGINS"
 class RoutingPlan:
     """What one routing method contributes to a staged pipeline.
 
-    ``routing_pass`` is the pass that maps the circuit onto the device.  The optional
-    ``layout_router_cls``/``layout_router_kwargs`` configure the router instance the
-    SABRE-style layout-selection pass uses for its forward/backward traversals;
+    ``router_cls`` is the method's router class;
+    :meth:`~repro.transpiler.builder.PipelineBuilder.make_router` builds every router a
+    compile uses from it, adding the seed, distance matrix and lookahead to
+    ``router_kwargs`` (only the method's own arguments, such as NASSC's ``config``).
     ``post_routing`` passes run immediately after routing (before SWAP lowering), and
     ``use_swap_labels`` tells SWAP lowering to honour orientation labels the router
     attached (the NASSC optimization-aware decomposition).
     """
 
-    routing_pass: TranspilerPass
-    layout_router_cls: Optional[type] = None
-    layout_router_kwargs: Dict = field(default_factory=dict)
+    router_cls: type
+    router_kwargs: Dict = field(default_factory=dict)
     post_routing: List[TranspilerPass] = field(default_factory=list)
     use_swap_labels: bool = False
-    #: Router class/kwargs for constructing fresh per-trial routing instances
-    #: (seed and distance_matrix are supplied per trial).  When ``None`` the method
-    #: cannot run under best-of-N ensemble routing and ``best_of`` falls back to the
-    #: plain single-trial pipeline.
-    routing_router_cls: Optional[type] = None
-    routing_router_kwargs: Dict = field(default_factory=dict)
 
 
-#: ``factory(target, options, distance_matrix=None) -> Optional[RoutingPlan]``.
-#: Returning ``None`` means "no routing" (the connectivity-free pipeline).
+#: ``factory(target, options) -> Optional[RoutingPlan]``.  Returning ``None`` means "no
+#: routing" (the connectivity-free pipeline); a factory returns a plan exactly when its
+#: method is registered with ``requires_coupling=True``, which the builder checks.
 RoutingFactory = Callable[..., Optional[RoutingPlan]]
 
 
@@ -76,10 +73,12 @@ class RoutingMethod:
     description: str = ""
     requires_coupling: bool = True
     builtin: bool = False
-    #: Whether ``TranspileOptions.best_of > 1`` runs this method under the ensemble
-    #: engine.  Methods without per-trial seed sensitivity (``none``) opt out; the
-    #: plan they return must also carry ``routing_router_cls`` to participate.
-    supports_best_of: bool = True
+
+    @property
+    def supports_best_of(self) -> bool:
+        """Whether ``TranspileOptions.best_of > 1`` runs this method under the ensemble
+        engine: every method that routes (and so needs a coupling map) does."""
+        return self.requires_coupling
 
 
 _REGISTRY: Dict[str, RoutingMethod] = {}
@@ -94,7 +93,6 @@ def register_routing(
     requires_coupling: bool = True,
     replace: bool = False,
     builtin: bool = False,
-    supports_best_of: bool = True,
 ) -> RoutingMethod:
     """Register a routing method under ``name`` (see the module docstring for the contract)."""
     key = str(name).lower()
@@ -110,7 +108,6 @@ def register_routing(
         description=description,
         requires_coupling=requires_coupling,
         builtin=builtin,
-        supports_best_of=supports_best_of,
     )
     _REGISTRY[key] = method
     return method
@@ -183,63 +180,34 @@ def load_plugin_modules() -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Built-in methods.  Factories import their passes lazily so the registry stays free of
-# import cycles (the NASSC passes live in repro.core, which itself imports this package).
+# Built-in methods.  Factories import their routers lazily so the registry stays free of
+# import cycles (the NASSC router lives in repro.core, which itself imports this package).
 # ---------------------------------------------------------------------------
 
-def _none_factory(target, options, distance_matrix=None):
+def _none_factory(target, options):
     return None
 
 
-def _sabre_factory(target, options, distance_matrix=None):
-    from .passes.sabre import SabreRouting, SabreSwapRouter
+def _sabre_factory(target, options):
+    from .passes.sabre import SabreSwapRouter
 
-    return RoutingPlan(
-        routing_pass=SabreRouting(
-            target.coupling_map,
-            extended_set_size=options.extended_set_size,
-            extended_set_weight=options.extended_set_weight,
-            seed=options.seed,
-            distance_matrix=distance_matrix,
-        ),
-        layout_router_cls=SabreSwapRouter,
-        layout_router_kwargs={"distance_matrix": distance_matrix},
-        routing_router_cls=SabreSwapRouter,
-        routing_router_kwargs={
-            "extended_set_size": options.extended_set_size,
-            "extended_set_weight": options.extended_set_weight,
-        },
-    )
+    return RoutingPlan(SabreSwapRouter)
 
 
-def _nassc_factory(target, options, distance_matrix=None):
-    from ..core.nassc import NASSCRouting, NASSCSwapRouter
+def _nassc_factory(target, options):
+    from ..core.nassc import NASSCSwapRouter
     from ..core.single_qubit_motion import CommuteSingleQubitsThroughSwap
 
     return RoutingPlan(
-        routing_pass=NASSCRouting(
-            target.coupling_map,
-            config=options.nassc_config,
-            extended_set_size=options.extended_set_size,
-            extended_set_weight=options.extended_set_weight,
-            seed=options.seed,
-            distance_matrix=distance_matrix,
-        ),
-        layout_router_cls=NASSCSwapRouter,
-        layout_router_kwargs={"distance_matrix": distance_matrix, "config": options.nassc_config},
+        NASSCSwapRouter,
+        router_kwargs={"config": options.nassc_config},
         post_routing=[CommuteSingleQubitsThroughSwap()],
         use_swap_labels=True,
-        routing_router_cls=NASSCSwapRouter,
-        routing_router_kwargs={
-            "config": options.nassc_config,
-            "extended_set_size": options.extended_set_size,
-            "extended_set_weight": options.extended_set_weight,
-        },
     )
 
 
 register_routing(
-    "none", _none_factory, builtin=True, requires_coupling=False, supports_best_of=False,
+    "none", _none_factory, builtin=True, requires_coupling=False,
     description="no routing — optimize the logical circuit only (the Tables' baseline column)",
 )
 register_routing(

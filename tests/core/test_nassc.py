@@ -4,10 +4,10 @@ import pytest
 
 from repro.circuit import QuantumCircuit, qasm, random_circuit, random_cx_circuit
 from repro.core import NASSCConfig
-from repro.core.nassc import NASSCRouting, NASSCSwapRouter
+from repro.core.nassc import NASSCSwapRouter
 from repro.hardware import linear_coupling_map
 from repro.transpiler import PropertySet
-from repro.transpiler.passes import SabreSwapRouter, coupling_violations
+from repro.transpiler.passes import SabreRouting, SabreSwapRouter, coupling_violations
 from repro.transpiler.passes.sabre import StreamingOutput
 
 
@@ -88,7 +88,9 @@ class TestNASSCRoutingPass:
         circuit = QuantumCircuit(3)
         circuit.cx(0, 2)
         props = PropertySet()
-        routed = NASSCRouting(linear5, seed=0).run_circuit(circuit, props)
+        routing = SabreRouting(NASSCSwapRouter(linear5, seed=0))
+        assert routing.name == "NASSCRouting"
+        routed = routing.run_circuit(circuit, props)
         assert "final_layout" in props
         assert props["num_swaps"] >= 1
         assert not coupling_violations(routed, linear5)

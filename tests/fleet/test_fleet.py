@@ -405,6 +405,35 @@ class TestFailover:
         finally:
             coordinator.stop(timeout=5)
 
+    def test_stop_ends_the_membership_loop_when_a_cancel_is_lost(self, monkeypatch):
+        """``asyncio.wait_for`` can return a finished reply and drop a cancel landing in
+        the same loop iteration; the membership loop must still end once the server
+        drains, or ``stop()`` waits on it forever."""
+        from repro.fleet import httpclient
+
+        fetch_json = httpclient.fetch_json
+
+        async def cancel_losing_register(base_url, method, path, **kwargs):
+            reply = await fetch_json(base_url, method, path, **kwargs)
+            if path == "/fleet/v1/register":
+                try:
+                    await asyncio.sleep(1.0)
+                except asyncio.CancelledError:
+                    pass  # the cancel is lost and the reply returned, as in wait_for
+            return reply
+
+        monkeypatch.setattr(httpclient, "fetch_json", cancel_losing_register)
+        coordinator = start_coordinator()
+        worker = start_worker(coordinator.url, "lost-cancel")
+        client = ReproClient(coordinator.url)
+        try:
+            assert wait_for(lambda: client.healthz()["nodes"] == 1)
+            assert not worker.server.registered  # the register reply is still held
+            worker.stop(timeout=1)  # a surviving loop makes this raise TimeoutError
+            assert wait_for(lambda: client.healthz()["nodes"] == 0)
+        finally:
+            coordinator.stop(timeout=5)
+
     def test_failed_deregister_is_counted_and_warned(self, capsys):
         coordinator = start_coordinator()
         worker = start_worker(coordinator.url, "orphan-0")

@@ -189,8 +189,8 @@ class TestMethodsCommand:
     def test_lists_registered_plugin(self, capsys):
         from repro.transpiler.registry import get_routing, register_routing, unregister_routing
 
-        def factory(target, options, distance_matrix=None):
-            return get_routing("sabre").factory(target, options, distance_matrix=distance_matrix)
+        def factory(target, options):
+            return get_routing("sabre").factory(target, options)
 
         register_routing("cli_listed_router", factory, description="cli plugin probe")
         try:
@@ -226,8 +226,8 @@ class TestCustomRouterThroughService:
     def _register(name):
         from repro.transpiler.registry import get_routing, register_routing
 
-        def factory(target, options, distance_matrix=None):
-            return get_routing("sabre").factory(target, options, distance_matrix=distance_matrix)
+        def factory(target, options):
+            return get_routing("sabre").factory(target, options)
 
         register_routing(name, factory, description="custom e2e router")
 

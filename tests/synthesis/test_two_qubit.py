@@ -278,6 +278,19 @@ class TestSynthesis:
         assert circuit.cx_count() <= 3
         assert allclose_up_to_global_phase(circuit.to_matrix(), matrix, 1e-5)
 
+    def test_off_chamber_two_cnot_class_stays_within_three_cnots(self):
+        # Seed 807 (about 0.25% of the property test's draws) decomposes to the
+        # 2-CNOT class with coordinates just off the canonical chamber, where no 2-CNOT
+        # core pairs them right; the 3-CNOT template must catch it before the 4-CNOT
+        # fallback does.
+        matrix = random_su4(807)
+        decomposition = weyl_decompose(matrix)
+        assert decomposition.cnot_count() == 2
+        result = TwoQubitSynthesizer().synthesize(matrix, decomposition)
+        assert result.cnot_count <= 3
+        assert result.circuit.cx_count() == result.cnot_count
+        assert allclose_up_to_global_phase(result.circuit.to_matrix(), matrix, 1e-5)
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.floats(0, math.pi / 4), st.floats(0, math.pi / 4), st.floats(0, math.pi / 4)

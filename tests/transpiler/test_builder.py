@@ -24,9 +24,9 @@ from repro.transpiler.registry import (
 )
 
 
-def sabre_clone_factory(target, options, distance_matrix=None):
+def sabre_clone_factory(target, options):
     """A 'third-party' method that simply reuses the sabre plan (for plug-in tests)."""
-    return get_routing("sabre").factory(target, options, distance_matrix=distance_matrix)
+    return get_routing("sabre").factory(target, options)
 
 
 @pytest.fixture()
@@ -71,10 +71,8 @@ class TestRegistry:
         module.write_text(textwrap.dedent("""
             from repro.transpiler.registry import get_routing, register_routing
 
-            def factory(target, options, distance_matrix=None):
-                return get_routing("sabre").factory(
-                    target, options, distance_matrix=distance_matrix
-                )
+            def factory(target, options):
+                return get_routing("sabre").factory(target, options)
 
             register_routing("env_plugin_router", factory, description="from env plugin")
         """))
@@ -89,6 +87,21 @@ class TestRegistry:
                 unregister_routing("env_plugin_router")
             sys.modules.pop("repro_test_plugin_mod", None)
 
+    @pytest.mark.parametrize("requires_coupling", [False, True])
+    def test_plan_must_agree_with_requires_coupling(self, requires_coupling):
+        """A method returns a plan exactly when it requires a coupling map: the rule
+        behind ``supports_best_of``, which the server's trial fan-out reads."""
+        factory = (lambda target, options: None) if requires_coupling else sabre_clone_factory
+        register_routing("inconsistent", factory, requires_coupling=requires_coupling)
+        try:
+            with pytest.raises(TranspilerError, match="registered with requires_coupling"):
+                PipelineBuilder(
+                    Target(coupling_map=linear_coupling_map(5)),
+                    TranspileOptions(routing="inconsistent", best_of=2),
+                )
+        finally:
+            unregister_routing("inconsistent")
+
 
 class TestBuilderStages:
     def test_stage_names_and_contents(self):
@@ -96,7 +109,7 @@ class TestBuilderStages:
             Target(coupling_map=linear_coupling_map(5)), TranspileOptions(routing="nassc")
         )
         assert tuple(builder.stages) == PipelineBuilder.STAGES
-        names = [type(item).__name__ for item in builder.stage("routing")]
+        names = [item.name for item in builder.stage("routing")]
         assert names == ["NASSCRouting", "CommuteSingleQubitsThroughSwap"]
         assert [type(i).__name__ for i in builder.stage("layout")] == ["SabreLayoutSelection"]
         assert type(builder.stage("finalize")[0]).__name__ == "CheckMap"
@@ -290,10 +303,8 @@ class TestNewTranspileSignature:
             from repro import Target  # imports repro back while it may be initialising
             from repro.transpiler.registry import get_routing, register_routing
 
-            def factory(target, options, distance_matrix=None):
-                return get_routing("sabre").factory(
-                    target, options, distance_matrix=distance_matrix
-                )
+            def factory(target, options):
+                return get_routing("sabre").factory(target, options)
 
             register_routing("selfimporting", factory)
         """))

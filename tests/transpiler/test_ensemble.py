@@ -14,6 +14,7 @@ from repro.core.pipeline import transpile
 from repro.exceptions import TranspilerError
 from repro.hardware import Target, linear_coupling_map
 from repro.obs import COUNTERS, Tracer, use_tracer
+from repro.transpiler import PipelineBuilder
 from repro.transpiler.ensemble import (
     EnsembleRouting,
     _stacked_sums,
@@ -25,6 +26,11 @@ from repro.transpiler.passes.sabre import front_ext_sums
 
 def _bench_circuit(seed=7, qubits=6, gates=30):
     return random_cx_circuit(qubits, gates, seed=seed)
+
+
+def _sabre_routers(coupling):
+    """The router builder of a default sabre compile on ``coupling``."""
+    return PipelineBuilder(Target(coupling_map=coupling), TranspileOptions()).make_router
 
 
 class TestTrialStageSeeds:
@@ -219,13 +225,13 @@ class TestEnsembleTranspile:
 
 class TestEnsemblePass:
     def test_rejects_bad_trial_counts(self):
-        coupling = linear_coupling_map(4)
+        make_router = _sabre_routers(linear_coupling_map(4))
         with pytest.raises(TranspilerError):
-            EnsembleRouting(coupling, num_trials=0)
+            EnsembleRouting(make_router, num_trials=0)
         with pytest.raises(TranspilerError):
-            EnsembleRouting(coupling, num_trials=4, trial_subset=[4])
+            EnsembleRouting(make_router, num_trials=4, trial_subset=[4])
         with pytest.raises(TranspilerError):
-            EnsembleRouting(coupling, num_trials=4, trial_subset=[])
+            EnsembleRouting(make_router, num_trials=4, trial_subset=[])
 
     def test_pruning_never_changes_the_winner(self):
         # Pruning is an optimization, not a heuristic: the winner (and its routed
@@ -233,11 +239,11 @@ class TestEnsemblePass:
         from repro.transpiler import PassManager
 
         circuit = _bench_circuit(seed=41, qubits=8, gates=60)
-        coupling = linear_coupling_map(10)
+        make_router = _sabre_routers(linear_coupling_map(10))
         results = {}
         for prune in (True, False):
             manager = PassManager([
-                EnsembleRouting(coupling, num_trials=5, seed=1, prune=prune)
+                EnsembleRouting(make_router, num_trials=5, seed=1, prune=prune)
             ])
             routed = manager.run(circuit)
             results[prune] = (qasm.dumps(routed), manager.property_set["ensemble"])

@@ -110,14 +110,14 @@ class TestRoutingPasses:
         circuit = QuantumCircuit(3)
         circuit.cx(0, 2)
         props = PropertySet()
-        routed = SabreRouting(linear5, seed=2).run_circuit(circuit, props)
+        routed = SabreRouting(SabreSwapRouter(linear5, seed=2)).run_circuit(circuit, props)
         assert "final_layout" in props and "num_swaps" in props
         assert all_gates_mapped(routed, linear5)
 
     def test_layout_selection_produces_valid_layout(self, grid9):
         circuit = random_cx_circuit(6, 15, seed=2)
         props = PropertySet()
-        SabreLayoutSelection(grid9, seed=4).run_circuit(circuit, props)
+        SabreLayoutSelection(SabreSwapRouter(grid9, seed=4)).run_circuit(circuit, props)
         layout = props["layout"]
         physical = {layout.physical(q) for q in range(6)}
         assert len(physical) == 6
@@ -128,7 +128,8 @@ class TestRoutingPasses:
         random_layout = Layout.random(7, 9, seed=0)
         baseline = SabreSwapRouter(grid9, seed=0).route(circuit, random_layout)
         props = PropertySet()
-        SabreLayoutSelection(grid9, iterations=3, seed=0).run_circuit(circuit, props)
+        selection = SabreLayoutSelection(SabreSwapRouter(grid9, seed=0), iterations=3)
+        selection.run_circuit(circuit, props)
         refined = SabreSwapRouter(grid9, seed=0).route(circuit, props["layout"])
         assert refined.num_swaps <= baseline.num_swaps + 2
 
@@ -136,7 +137,7 @@ class TestRoutingPasses:
         circuit = QuantumCircuit(3)
         circuit.h(0)
         props = PropertySet()
-        SabreLayoutSelection(linear5, seed=1).run_circuit(circuit, props)
+        SabreLayoutSelection(SabreSwapRouter(linear5, seed=1)).run_circuit(circuit, props)
         assert props["layout"].num_logical() == 3
 
 
