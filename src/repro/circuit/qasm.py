@@ -14,6 +14,7 @@ import math
 import os
 import re
 import threading
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -67,7 +68,9 @@ def _eval_ast(text: str, bindings: Optional[Dict[str, float]] = None) -> float:
     gate parameters, ``+ - * / **`` and the functions in ``_ALLOWED_FUNCS``."""
     bindings = bindings or {}
     try:
-        with _AST_PARSE_LOCK:
+        # A SyntaxWarning (``1if``) would print to stderr; raised, it is a SyntaxError.
+        with _AST_PARSE_LOCK, warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)
             tree = ast.parse(text, mode="eval")
     except (SyntaxError, RecursionError, MemoryError) as exc:
         # Nesting too deep for CPython's parser (e.g. thousands of unary minuses) raises

@@ -11,9 +11,10 @@ that the matrix remains a metric usable by the routing heuristics.
 
 from __future__ import annotations
 
-from typing import Optional
+import heapq
+from itertools import count
+from typing import List
 
-import networkx as nx
 import numpy as np
 
 from .calibration import DeviceCalibration
@@ -43,22 +44,40 @@ def noise_aware_distance_matrix(
     max_error = float(errors.max()) if errors.size else 1.0
     max_duration = float(durations.max()) if durations.size else 1.0
 
-    graph = nx.Graph()
-    graph.add_nodes_from(range(coupling.num_qubits))
-    for (a, b), err, dur in zip(coupling.edges, errors, durations):
-        weight = (
-            alpha1 * (err / max_error)
-            + alpha2 * (dur / max_duration)
-            + alpha3 * 1.0
-        )
-        graph.add_edge(a, b, weight=float(weight))
+    weights = alpha1 * (errors / max_error) + alpha2 * (durations / max_duration) + alpha3
+    if not np.all(weights >= 0.0):
+        raise ValueError(f"alphas {(alpha1, alpha2, alpha3)} give a negative or NaN edge weight")
+    return _shortest_path_lengths(coupling, weights.tolist())
 
+
+def _shortest_path_lengths(coupling: CouplingMap, weights: List[float]) -> np.ndarray:
+    """All-pairs Dijkstra lengths over non-negative edge weights (``inf``: unreachable).
+
+    Adjacency in edge order, ``(dist, counter, node)`` heap entries, the source at integer
+    ``0``, strict relaxation and sources in node order fix the order of every float sum;
+    the digests in ``tests/hardware/test_noise_distance.py`` pin the resulting matrices.
+    """
     num = coupling.num_qubits
+    adjacency = [{} for _ in range(num)]
+    for (a, b), weight in zip(coupling.edges, weights):
+        adjacency[a][b] = adjacency[b][a] = weight
     matrix = np.full((num, num), np.inf)
-    lengths = dict(nx.all_pairs_dijkstra_path_length(graph, weight="weight"))
-    for src, targets in lengths.items():
-        for dst, value in targets.items():
-            matrix[src, dst] = value
+    for source in range(num):
+        lengths = {}
+        best = {source: 0}
+        tie = count()
+        fringe = [(0, next(tie), source)]
+        while fringe:
+            dist, _, node = heapq.heappop(fringe)
+            if node in lengths:
+                continue
+            lengths[node] = dist
+            for neighbor, weight in adjacency[node].items():
+                candidate = dist + weight
+                if neighbor not in best or candidate < best[neighbor]:
+                    best[neighbor] = candidate
+                    heapq.heappush(fringe, (candidate, next(tie), neighbor))
+        matrix[source, list(lengths)] = list(lengths.values())
     return matrix
 
 

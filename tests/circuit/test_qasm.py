@@ -1,6 +1,7 @@
 """Unit tests for the OpenQASM 2.0 reader/writer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,16 @@ class TestParsing:
     def test_malformed_expression_rejected(self):
         with pytest.raises(QASMError):
             qasm.loads("OPENQASM 2.0;\nqreg q[1];\nrz(__import__) q[0];\n")
+
+    @pytest.mark.parametrize("read", [qasm.loads, lambda text: list(qasm.loads_stream(text))])
+    def test_malformed_literal_raises_without_a_python_warning(self, read, capfd):
+        """``1if`` makes CPython's tokenizer warn; the reader must only raise."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(QASMError, match="invalid parameter expression"):
+                read("OPENQASM 2.0;\nqreg q[1];\nrz(1if) q[0];\n")
+        assert [str(w.message) for w in caught] == []
+        assert capfd.readouterr().err == ""
 
     def test_classical_control_rejected(self):
         with pytest.raises(QASMError):

@@ -1,13 +1,18 @@
 """Edge cases for the distance-matrix builders and calibration completeness checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.exceptions import CalibrationError
 from repro.hardware import (
     CouplingMap,
+    fake_montreal_calibration,
+    grid_coupling_map,
     hop_distance_matrix,
     linear_coupling_map,
+    montreal_coupling_map,
     noise_aware_distance_matrix,
     swap_duration_on_edge,
     synthetic_calibration,
@@ -48,11 +53,82 @@ class TestEdgeCases:
                 assert np.isinf(matrix[a, b])
                 assert np.isinf(matrix[b, a])
 
+    def test_negative_edge_weight_rejected(self):
+        """The noisiest link weighs 0.5 - 1 < 0, where Dijkstra is undefined."""
+        coupling = linear_coupling_map(4)
+        calibration = synthetic_calibration(coupling, seed=5)
+        with pytest.raises(ValueError, match="negative or NaN edge weight"):
+            noise_aware_distance_matrix(calibration, alpha1=-1.0, alpha2=0.0, alpha3=0.5)
+
     def test_hop_matrix_copy_is_private(self):
         coupling = linear_coupling_map(4)
         matrix = hop_distance_matrix(coupling)
         matrix[0, 1] = 99.0
         assert hop_distance_matrix(coupling)[0, 1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "make_calibration, digests",
+    [
+        (lambda: synthetic_calibration(linear_coupling_map(25)),
+         ("43ef5d1d9220eb9e", "36fcddb2a0cc585f")),
+        (lambda: synthetic_calibration(montreal_coupling_map()),
+         ("e5b3263439eb1a65", "a213318531ef4abc")),
+        (lambda: synthetic_calibration(grid_coupling_map(5, 5)),
+         ("45deb1c9f8498986", "e6f10c08f193d927")),
+        (fake_montreal_calibration, ("2a900031bb77f77a", "af229df681114f0f")),
+    ],
+    ids=["linear_25", "montreal", "grid_5x5", "fake_montreal"],
+)
+def test_matrices_bit_identical_to_networkx(make_calibration, digests):
+    """sha256 prefixes of the HA / duration matrix bytes, recorded when networkx's
+    ``all_pairs_dijkstra_path_length`` built them: every float sum forms in its order."""
+    calibration = make_calibration()
+    assert digests == tuple(
+        hashlib.sha256(matrix.tobytes()).hexdigest()[:16]
+        for matrix in (
+            noise_aware_distance_matrix(calibration),
+            duration_distance_matrix(calibration),
+        )
+    )
+
+
+def networkx_reference(nx, calibration, alpha1, alpha2, alpha3):
+    """The HA matrix as it was built with networkx (the reference where it is installed)."""
+    coupling = calibration.coupling_map
+    errors = np.array([calibration.cx_error[edge] for edge in coupling.edges])
+    durations = np.array([calibration.cx_duration[edge] for edge in coupling.edges])
+    max_error = float(errors.max()) if errors.size else 1.0
+    max_duration = float(durations.max()) if durations.size else 1.0
+    graph = nx.Graph()
+    graph.add_nodes_from(range(coupling.num_qubits))
+    for (a, b), err, dur in zip(coupling.edges, errors, durations):
+        weight = alpha1 * (err / max_error) + alpha2 * (dur / max_duration) + alpha3 * 1.0
+        graph.add_edge(a, b, weight=float(weight))
+    matrix = np.full((coupling.num_qubits,) * 2, np.inf)
+    for src, targets in nx.all_pairs_dijkstra_path_length(graph, weight="weight"):
+        for dst, value in targets.items():
+            matrix[src, dst] = value
+    return matrix
+
+
+@pytest.mark.parametrize("alphas", [(0.5, 0.0, 0.5), (0.0, 0.7, 0.3), (0.2, 0.3, 0.5), (0, 0, 0)])
+@pytest.mark.parametrize(
+    "coupling",
+    [
+        linear_coupling_map(6),
+        grid_coupling_map(3, 4),
+        montreal_coupling_map(),
+        CouplingMap([(0, 1), (1, 2), (3, 4)], num_qubits=6),
+    ],
+    ids=["linear_6", "grid_3x4", "montreal", "disconnected"],
+)
+def test_matches_networkx_reference(coupling, alphas):
+    nx = pytest.importorskip("networkx")
+    for seed in (0, 7):
+        calibration = synthetic_calibration(coupling, seed=seed)
+        expected = networkx_reference(nx, calibration, *alphas)
+        assert noise_aware_distance_matrix(calibration, *alphas).tobytes() == expected.tobytes()
 
 
 class TestDurationDistance:
