@@ -141,7 +141,7 @@ class NASSCSwapRouter(SabreSwapRouter):
     ) -> np.ndarray:
         """Eq. 2 cost of every candidate from the shared kernel's raw distance sums.
 
-        The distance terms come from the same batched kernel the SABRE base class uses;
+        The distance terms come from the same vectorized kernel the SABRE base class uses;
         only the per-candidate optimization estimates (``C2q``/``Ccommute``) remain a
         Python loop, because each one inspects the routed prefix through the estimator.
         Elementwise identical to the historical per-swap scalar scoring.

@@ -34,7 +34,7 @@ LEVEL_DESCRIPTIONS: Dict[str, str] = {
 }
 
 #: Trials ``O3`` runs by default when ``best_of`` is left unset (the highest preset
-#: buys the best circuit the seed space offers, amortized by the batched kernels).
+#: buys the best circuit the seed space offers; trials that fall behind are pruned).
 O3_DEFAULT_BEST_OF = 4
 
 #: Supported routing cost models: unit hop count, or nanoseconds of inserted SWAP time.

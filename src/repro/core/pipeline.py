@@ -190,7 +190,6 @@ def transpile(
     best_of: Optional[int] = None,
     schedule: Optional[str] = None,
     route_cost: Optional[str] = None,
-    _trial_subset: Optional[Sequence[int]] = None,
 ) -> TranspileResult:
     """Compile a logical circuit for a device target.
 
@@ -222,7 +221,7 @@ def transpile(
     tracer = active_tracer()
 
     start = time.perf_counter()
-    builder = PipelineBuilder(resolved_target, resolved_options, trial_subset=_trial_subset)
+    builder = PipelineBuilder(resolved_target, resolved_options)
     manager = builder.build()
     if tracer is None:
         compiled = manager.run(circuit)

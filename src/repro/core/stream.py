@@ -279,15 +279,12 @@ def transpile_stream(
             emit_op(op.name, op)
 
     steps = router.route_steps(frontier, layout, emit=emit)
-    reply = None
-    result = None
     while True:
         try:
-            request = steps.send(reply)
+            next(steps)
         except StopIteration as stop:
             result = stop.value
             break
-        reply = request.evaluate()
         # Scoring points are the natural flush boundaries: the emission buffer only
         # grows between them by the gates executed since the previous score.
         while len(buffer) >= chunk_gates:

@@ -166,8 +166,8 @@ class Tracer:
     """Collects the spans of one process for one (or more) traces.
 
     The tracer keeps a stack of open spans so nested ``span()`` blocks parent
-    automatically; the server, which interleaves many jobs on one event loop, builds
-    spans with explicit parent ids instead (see :meth:`make_span`).
+    automatically; the server and the fleet coordinator, which interleave many jobs on
+    one event loop, build span records with explicit parent ids instead.
     """
 
     def __init__(
@@ -207,34 +207,6 @@ class Tracer:
                 break
             top.finish()
             self.finished.append(top)
-        self.finished.append(span)
-        return span
-
-    # -- free-standing spans (explicit parents) -------------------------------
-
-    def make_span(
-        self,
-        name: str,
-        *,
-        parent_id: Optional[str] = None,
-        start: Optional[float] = None,
-        **attrs,
-    ) -> Span:
-        """Create a span with an explicit parent, outside the nesting stack.
-
-        The caller owns its lifetime; pass it to :meth:`record` once finished.
-        """
-        return Span(
-            name,
-            trace_id=self.trace_id,
-            parent_id=parent_id if parent_id is not None else self.parent_id,
-            start=start,
-            process=self.process,
-            attrs=attrs,
-        )
-
-    def record(self, span: Span) -> Span:
-        span.finish()
         self.finished.append(span)
         return span
 

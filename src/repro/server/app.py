@@ -100,7 +100,6 @@ class ReproServer(AsyncHTTPServer):
         concurrency: Optional[int] = None,
         max_workers: Optional[int] = None,
         use_processes: bool = True,
-        ensemble_fanout_threshold: int = 8,
     ) -> None:
         super().__init__(host, port)
         self.cache = cache if cache is not None else ResultCache(directory=cache_dir)
@@ -113,7 +112,6 @@ class ReproServer(AsyncHTTPServer):
             concurrency=concurrency,
             max_workers=max_workers,
             use_processes=use_processes,
-            ensemble_fanout_threshold=ensemble_fanout_threshold,
         )
         self.started_at = time.time()
         self._routes += [

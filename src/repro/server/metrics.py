@@ -50,14 +50,6 @@ class ServerMetrics(Registry):
         self.requests = self.counter(
             "repro_http_requests_total", "HTTP requests served, by route and status code"
         )
-        self.ensemble_fanout = self.counter(
-            "repro_ensemble_fanout_total",
-            "Best-of-N jobs whose trials were fanned across the worker pool",
-        )
-        self.ensemble_trials = self.counter(
-            "repro_ensemble_trials_total",
-            "Ensemble routing trials executed on behalf of best-of-N jobs",
-        )
         self.peer_cache_requests = self.counter(
             "repro_peer_cache_requests_total",
             "Peer cache lookups served over GET /v1/cache, by outcome",

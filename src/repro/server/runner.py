@@ -26,7 +26,6 @@ from typing import Dict, List, Optional
 from ..service.cache import ResultCache
 from ..service.executor import _execute_one, default_worker_count
 from ..service.jobs import JobError
-from ..transpiler.registry import get_routing
 from .metrics import ServerMetrics
 from .queue import JobQueue, JobRecord
 
@@ -43,16 +42,10 @@ class JobRunner:
         concurrency: Optional[int] = None,
         max_workers: Optional[int] = None,
         use_processes: bool = True,
-        ensemble_fanout_threshold: int = 8,
     ) -> None:
         self.queue = queue
         self.cache = cache
         self.metrics = metrics
-        #: Fan a ``best_of=K`` job's trials across the pool when ``K`` reaches this
-        #: threshold (and more than one worker exists).  Small ensembles stay in one
-        #: worker, where the batched scoring kernel amortises them more cheaply than
-        #: process round trips would.
-        self.ensemble_fanout_threshold = max(2, int(ensemble_fanout_threshold))
         self.max_workers = default_worker_count() if max_workers is None else max(1, max_workers)
         #: Dispatcher-task count — how many jobs may be in flight at once.  ``0`` accepts
         #: submissions without ever running them (tests use this to pin jobs in QUEUED).
@@ -166,13 +159,9 @@ class JobRunner:
         trace_ctx = None
         if record.trace_ctx is not None:
             trace_ctx = {"trace_id": record.trace_id, "parent_id": record.server_span_id}
-        chunks = self._ensemble_chunks(record)
-        if chunks is not None:
-            raw = await self._run_fanned(loop, record, chunks, trace_ctx)
-        else:
-            raw = await loop.run_in_executor(
-                self._pool, _execute_one, record.job.to_dict(), trace_ctx
-            )
+        raw = await loop.run_in_executor(
+            self._pool, _execute_one, record.job.to_dict(), trace_ctx
+        )
         # Publish to the cache BEFORE settling the record: a client released by its
         # long-poll may resubmit the same fingerprint immediately, and that submission
         # must find the cache entry already in place.  ``raw["result"]`` is trace-free
@@ -249,80 +238,6 @@ class JobRunner:
             },
             from_cache=False,
         )
-
-    # -- ensemble fan-out ------------------------------------------------------
-
-    def _ensemble_chunks(self, record: JobRecord) -> Optional[List[List[int]]]:
-        """Contiguous trial-index chunks for a large best-of-N job, or ``None``.
-
-        ``None`` means "run the job whole": the ensemble is small enough that the
-        batched in-process kernels beat process round trips, the pool has a single
-        worker anyway, or the routing method opts out of best-of.
-        """
-        if self._pool is None or self.max_workers < 2:
-            return None
-        try:
-            options = record.job.options()
-            trials = options.effective_best_of
-            supported = get_routing(options.routing).supports_best_of
-        except Exception:  # noqa: BLE001 - malformed jobs fail in the worker, not here
-            return None
-        if not supported or trials < self.ensemble_fanout_threshold:
-            return None
-        num_chunks = min(self.max_workers, trials)
-        bounds = [round(i * trials / num_chunks) for i in range(num_chunks + 1)]
-        return [
-            list(range(bounds[i], bounds[i + 1]))
-            for i in range(num_chunks)
-            if bounds[i] < bounds[i + 1]
-        ]
-
-    async def _run_fanned(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        record: JobRecord,
-        chunks: List[List[int]],
-        trace_ctx: Optional[Dict],
-    ) -> Dict:
-        """Run one job's trial chunks concurrently and reduce to the global winner.
-
-        Ensemble pruning is lossless under any trial partition, so taking the minimum
-        ``ensemble["winner_key"]`` across chunk results reproduces the whole-job
-        winner bit-for-bit.  Per-trial diagnostics from every chunk are merged into
-        the winning payload; any chunk error fails the job (first error wins).
-        """
-        self.metrics.ensemble_fanout.inc()
-        self.metrics.ensemble_trials.inc(sum(len(chunk) for chunk in chunks))
-        payload = record.job.to_dict()
-        raws = await asyncio.gather(
-            *(
-                loop.run_in_executor(self._pool, _execute_one, payload, trace_ctx, chunk)
-                for chunk in chunks
-            )
-        )
-        trace: List[Dict] = []
-        for raw in raws:
-            trace.extend(raw.get("trace", []))
-        failed = next((raw for raw in raws if not raw.get("ok", False)), None)
-        if failed is not None:
-            merged = {"ok": False, "error": failed["error"]}
-            if trace:
-                merged["trace"] = trace
-            return merged
-        best = min(raws, key=lambda raw: tuple(raw["result"]["ensemble"]["winner_key"]))
-        merged_result = dict(best["result"])
-        ensemble = dict(merged_result.get("ensemble", {}))
-        all_trials = [t for raw in raws for t in raw["result"]["ensemble"]["trials"]]
-        ensemble["trials"] = sorted(all_trials, key=lambda t: t["trial"])
-        ensemble["executed_trials"] = sorted(
-            index for raw in raws for index in raw["result"]["ensemble"]["executed_trials"]
-        )
-        ensemble["fanned_chunks"] = [list(chunk) for chunk in chunks]
-        merged_result["ensemble"] = ensemble
-        merged = {"ok": True, "result": merged_result}
-        if trace:
-            merged["trace"] = trace
-        return merged
 
     def _settle(self, record: JobRecord, raw: Dict) -> None:
         record.worker_trace = list(raw.get("trace", []))

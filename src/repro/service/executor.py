@@ -34,9 +34,7 @@ from .jobs import JobError, JobOutcome, TranspileJob
 ProgressCallback = Callable[[int, int, JobOutcome], None]
 
 
-def _execute_one(
-    payload: Dict, trace_ctx: Optional[Dict] = None, trials: Optional[List[int]] = None
-) -> Dict:
+def _execute_one(payload: Dict, trace_ctx: Optional[Dict] = None) -> Dict:
     """Run one job dict, returning ``{"ok": ..., "result"|"error": ...}`` (never raises).
 
     ``trace_ctx`` (``{"trace_id", "parent_id"}``) rides *next to* the job payload, never
@@ -46,11 +44,6 @@ def _execute_one(
     the top-level ``"trace"`` key — deliberately outside ``"result"``, so the result
     payload that enters the shared :class:`ResultCache` stays trace-free (cached payloads
     are served to unrelated future requests).
-
-    ``trials`` (ensemble fan-out) runs only the given global trial indices of the job's
-    ``best_of`` ensemble, seeds unchanged.  The caller reduces the subset results by
-    their ``ensemble["winner_key"]`` — bit-identical to running all trials in one
-    process, because ensemble pruning is lossless under any partition of trials.
     """
     job = TranspileJob.from_dict(payload)
     tracer = None
@@ -62,7 +55,7 @@ def _execute_one(
         )
     try:
         with use_tracer(tracer) if tracer is not None else nullcontext():
-            result = job.run(trial_subset=trials)
+            result = job.run()
         result_payload = result.to_dict()
         trace = result_payload.pop("trace", [])
         raw = {"ok": True, "result": result_payload}

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..circuit import qasm
 from ..circuit.circuit import QuantumCircuit
@@ -150,16 +150,9 @@ class TranspileJob:
             circuit.name = self.name
         return circuit
 
-    def run(self, *, trial_subset: Optional[Sequence[int]] = None) -> TranspileResult:
-        """Execute the job in the current process and return the live result.
-
-        ``trial_subset`` restricts a ``best_of`` ensemble to the given global trial
-        indices (the server's fan-out path); seeds are unchanged, so reducing the
-        subset results by their ensemble winner key reproduces the full run's winner.
-        """
-        return transpile(
-            self.build_circuit(), self.device, self.settings, _trial_subset=trial_subset
-        )
+    def run(self) -> TranspileResult:
+        """Execute the job in the current process and return the live result."""
+        return transpile(self.build_circuit(), self.device, self.settings)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,6 @@
 from .passmanager import (
     ANALYSIS_KEYS,
     AnalysisPass,
-    ConditionalController,
-    DoWhile,
     FixedPoint,
     FlowController,
     PassManager,
@@ -38,8 +36,6 @@ __all__ = [
     "PipelineBuilder",
     "ANALYSIS_KEYS",
     "AnalysisPass",
-    "ConditionalController",
-    "DoWhile",
     "FixedPoint",
     "FlowController",
     "PassManager",

@@ -58,19 +58,11 @@ class PipelineBuilder:
 
     STAGES = STAGES
 
-    def __init__(
-        self,
-        target: Optional[Target] = None,
-        options=None,
-        *,
-        trial_subset: Optional[Sequence[int]] = None,
-    ) -> None:
+    def __init__(self, target: Optional[Target] = None, options=None) -> None:
         from ..core.options import TranspileOptions
 
         self.target = target if target is not None else Target()
         self.options = options if options is not None else TranspileOptions()
-        #: Restrict ensemble routing to these global trial indices (server fan-out).
-        self.trial_subset = trial_subset
         self.stages: Dict[str, List[ScheduleItem]] = {name: [] for name in STAGES}
         self._populate()
 
@@ -154,7 +146,7 @@ class PipelineBuilder:
         plan = method.factory(target, options)
         if (plan is not None) != method.requires_coupling:
             # A plan routes, and routing needs a coupling map; the registry's
-            # ``supports_best_of`` (read by the server's trial fan-out) assumes as much.
+            # ``supports_best_of`` (read just below) assumes as much.
             raise TranspilerError(
                 f"routing method {method.name!r} returned "
                 + ("a routing plan" if plan is not None else "no routing plan")
@@ -251,7 +243,6 @@ class PipelineBuilder:
                     seed=options.seed,
                     layout_iterations=options.layout_iterations,
                     noise_aware=self.noise_aware,
-                    trial_subset=self.trial_subset,
                 ),
                 *plan.post_routing,
             ]

@@ -1,35 +1,29 @@
-"""Best-of-N ensemble routing: K seeds, one batched scoring kernel per step.
+"""Best-of-N ensemble routing: K seeded trials, run one after another, keep the best.
 
 SABRE/NASSC routing is seed-sensitive: the routed two-qubit count varies run to run
 with the random initial layout and the score tie-breaks.  :class:`EnsembleRouting`
-runs ``num_trials`` independent (layout-selection + routing) trials in lockstep and
-keeps the best result, where each trial's seeds are independent child streams of one
-master seed (:func:`trial_stage_seeds`), so ``best_of=K`` is deterministic for a fixed
-seed yet every trial explores a different part of the seed space.
+runs ``num_trials`` independent (layout-selection + routing) trials and keeps the best
+result, where each trial's seeds are independent child streams of one master seed
+(:func:`trial_stage_seeds`), so ``best_of=K`` is deterministic for a fixed seed yet
+every trial explores a different part of the seed space.
 
-The amortization trick is in the lockstep drive: every trial is a suspended
-:meth:`~repro.transpiler.passes.sabre.SabreSwapRouter.route_steps` generator that
-yields a :class:`~repro.transpiler.passes.sabre.ScoreRequest` at each heuristic
-scoring point.  Each round, the requests of all live trials are stacked into ONE
-batched call of the shared scoring kernel
-(:func:`repro.transpiler.passes.sabre.front_ext_sums`) — index tables are zero-padded
-to a common width, which is bit-exact because the distance matrix diagonal is ``0.0``
-and the kernel accumulates non-negative terms in ascending column order — then each
-trial's slice is finalized with that trial's own decay/estimator state.  Scores are
-therefore bit-identical to running the trial alone, which makes the winner
-reproducible across in-process and fanned-out execution (see ``trial_subset``).
+Each trial is exactly the solo path with its own seeds: a random layout, the
+reverse-traversal refinement (:func:`~repro.transpiler.passes.sabre.refine_layout`),
+then one :meth:`~repro.transpiler.passes.sabre.SabreSwapRouter.route_steps` run into a
+fresh output DAG.
 
-Trials that fall hopelessly behind are pruned losslessly: once some trial has
-finished with ``S`` swaps, any live trial that has already inserted more than ``S``
-swaps can only finish with a strictly worse two-qubit estimate, so dropping it can
-never change the winner — under any partition of trials into subsets, which is what
-lets the server fan chunks across its process pool and reduce by the same key.
+Trials that fall behind are pruned losslessly: ``route_steps`` yields its running SWAP
+count at every scoring point, and once some trial has finished with ``S`` SWAPs, a
+later trial that has already inserted more than ``S`` can only finish with a strictly
+worse two-qubit estimate (the fixed non-SWAP two-qubit count plus 3 per SWAP), so
+stopping it never changes the winner.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,11 +35,9 @@ from .passes.layout import Layout
 from .passes.sabre import (
     RoutingResult,
     SabreSwapRouter,
-    ScoreRequest,
     dag_emitter,
-    front_ext_sums,
-    layout_selection_steps,
     layout_traversals,
+    refine_layout,
     whole_frontier,
 )
 
@@ -100,24 +92,6 @@ class TrialOutcome:
         }
 
 
-@dataclass
-class _Trial:
-    """One live trial: its routers, suspended generator, and bookkeeping."""
-
-    index: int
-    layout_seed: int
-    routing_seed: int
-    layout_router: SabreSwapRouter
-    router: SabreSwapRouter
-    steps: object = None
-    reply: object = None
-    routing_phase: bool = False
-    result: Optional[RoutingResult] = None
-    outcome: TrialOutcome = None
-    metric: Optional[Tuple] = None
-    span: object = None
-
-
 def _trial_metrics(
     result: RoutingResult, distance: np.ndarray, noise_aware: bool
 ) -> Tuple[int, int, float]:
@@ -145,83 +119,6 @@ def _trial_metrics(
     return two_qubit + 3 * swaps, result.circuit.depth(), noise_cost
 
 
-def _stacked_sums(
-    distance: np.ndarray,
-    tables: List[Tuple[np.ndarray, np.ndarray]],
-) -> List[np.ndarray]:
-    """Row sums for several (rows_i x cols_i) index-table pairs in one kernel call.
-
-    Tables are zero-padded to the widest column count; index ``(0, 0)`` hits the
-    distance diagonal (``0.0``), and appending ``+0.0`` terms to a non-negative
-    ascending-order accumulation leaves every float64 sum bit-identical.
-    """
-    width = max(a.shape[1] for a, _ in tables)
-    total_rows = sum(a.shape[0] for a, _ in tables)
-    stacked_a = np.zeros((total_rows, width), dtype=np.intp)
-    stacked_b = np.zeros((total_rows, width), dtype=np.intp)
-    offset = 0
-    for a, b in tables:
-        rows, cols = a.shape
-        stacked_a[offset:offset + rows, :cols] = a
-        stacked_b[offset:offset + rows, :cols] = b
-        offset += rows
-    sums, _ = front_ext_sums(distance, stacked_a, stacked_b, width)
-    out = []
-    offset = 0
-    for a, _ in tables:
-        rows = a.shape[0]
-        out.append(sums[offset:offset + rows])
-        offset += rows
-    return out
-
-
-def _evaluate_batch(pairs: List[Tuple[_Trial, ScoreRequest]]) -> None:
-    """Answer every live trial's pending request, batching the kernel work.
-
-    Every trial router aliases the one distance matrix of the compile (one builder
-    made them all), so each request contributes its front (and extended) index tables
-    to one stacked kernel call each; the per-trial finalization (decay, NASSC
-    estimates) then runs on each trial's slice.  ``trial.reply`` ends up bit-identical
-    to ``request.evaluate()``.
-    """
-    distance = pairs[0][1].router.distance
-    COUNTERS.inc("routing.ensemble.batched_steps")
-    COUNTERS.inc("routing.ensemble.batched_requests", len(pairs))
-    front_tables = []
-    ext_tables = []
-    ext_slots = []
-    candidate_arrays = []
-    for trial, request in pairs:
-        c0, c1 = request.router._candidate_arrays(request.candidates)
-        candidate_arrays.append((c0, c1))
-        mapped_a, mapped_b = request.router._mapped_index_arrays(
-            c0, c1, request.qubit_pairs, request.layout
-        )
-        width = len(request.front_gates)
-        front_tables.append((mapped_a[:, :width], mapped_b[:, :width]))
-        if request.extended:
-            ext_slots.append(len(ext_tables))
-            ext_tables.append((mapped_a[:, width:], mapped_b[:, width:]))
-        else:
-            ext_slots.append(None)
-    front_sums = _stacked_sums(distance, front_tables)
-    ext_sums = _stacked_sums(distance, ext_tables) if ext_tables else []
-    for position, (trial, request) in enumerate(pairs):
-        c0, c1 = candidate_arrays[position]
-        front_raw = front_sums[position]
-        slot = ext_slots[position]
-        ext_raw = ext_sums[slot] if slot is not None else np.zeros(len(c0))
-        trial.reply = request.router._finalize_scores(
-            request.candidates,
-            c0,
-            c1,
-            front_raw,
-            ext_raw,
-            request.front_gates,
-            request.extended,
-        )
-
-
 class EnsembleRouting(TransformationPass):
     """Layout + routing over ``num_trials`` seeds, keeping the best routed circuit.
 
@@ -231,13 +128,7 @@ class EnsembleRouting(TransformationPass):
     ``"ensemble"`` summary with per-trial outcomes.
 
     ``make_router(seed, layout=False)`` builds each trial's routers
-    (:meth:`~repro.transpiler.builder.PipelineBuilder.make_router`); they all score
-    against one distance matrix, which the batched kernel reads.
-
-    ``trial_subset`` restricts execution to the given global trial indices without
-    changing their seeds — the server fans large ``K`` across its process pool as
-    subset chunks and reduces by :attr:`winner_key`, which equals the in-process
-    winner because pruning is lossless under any partition.
+    (:meth:`~repro.transpiler.builder.PipelineBuilder.make_router`).
     """
 
     def __init__(
@@ -248,8 +139,6 @@ class EnsembleRouting(TransformationPass):
         seed: Optional[int] = None,
         layout_iterations: int = 2,
         noise_aware: bool = False,
-        trial_subset: Optional[Sequence[int]] = None,
-        prune: bool = True,
     ) -> None:
         super().__init__()
         if int(num_trials) < 1:
@@ -259,152 +148,99 @@ class EnsembleRouting(TransformationPass):
         self.seed = seed
         self.layout_iterations = layout_iterations
         self.noise_aware = noise_aware
-        if trial_subset is not None:
-            subset = sorted({int(i) for i in trial_subset})
-            if not subset or subset[0] < 0 or subset[-1] >= self.num_trials:
-                raise TranspilerError(
-                    f"trial_subset {list(trial_subset)!r} out of range for "
-                    f"num_trials={self.num_trials}"
-                )
-            trial_subset = subset
-        self.trial_subset = trial_subset
-        self.prune = prune
-
-    # ------------------------------------------------------------------
-
-    def _make_trial(self, index: int, layout_seed: int, routing_seed: int) -> _Trial:
-        return _Trial(
-            index=index,
-            layout_seed=layout_seed,
-            routing_seed=routing_seed,
-            layout_router=self.make_router(layout_seed, layout=True),
-            router=self.make_router(routing_seed),
-            outcome=TrialOutcome(index, layout_seed, routing_seed),
-        )
-
-    def _trial_steps(self, trial: _Trial, dag, frontier, traversals):
-        """Full trial flow as one generator: random layout, refinement, routing."""
-        num_physical = trial.router.coupling_map.num_qubits
-        layout = Layout.random(dag.num_qubits, num_physical, seed=trial.layout_seed)
-        if traversals is not None:
-            layout = yield from layout_selection_steps(
-                trial.layout_router, layout, self.layout_iterations, traversals
-            )
-        trial.routing_phase = True
-        routed, emit = dag_emitter(dag, num_physical)
-        result = yield from trial.router.route_steps(frontier.copy(), layout, emit=emit)
-        result.dag = routed
-        return result
 
     def run(self, dag, property_set: PropertySet):
-        seeds = trial_stage_seeds(self.seed, self.num_trials)
-        indices = (
-            list(self.trial_subset)
-            if self.trial_subset is not None
-            else list(range(self.num_trials))
-        )
         tracer = current_tracer()
-        parent_id = None
-        if tracer is not None and tracer._stack:
-            parent_id = tracer._stack[-1].span_id
         # Admitted once; every trial walks its own copy.
         frontier = whole_frontier(dag.op_nodes(), dag.num_qubits, dag.num_clbits)
         traversals = layout_traversals(dag) if self.layout_iterations > 0 else None
-        trials = []
-        for index in indices:
-            trial = self._make_trial(index, *seeds[index])
-            trial.steps = self._trial_steps(trial, dag, frontier, traversals)
-            if tracer is not None:
-                trial.span = tracer.make_span(
-                    f"routing.trial{index}",
-                    parent_id=parent_id,
-                    trial=index,
-                    layout_seed=trial.layout_seed,
-                    routing_seed=trial.routing_seed,
-                )
-            trials.append(trial)
+        outcomes: List[TrialOutcome] = []
+        best: Optional[Tuple[Tuple, RoutingResult]] = None
+        fewest_swaps: Optional[int] = None
+        seeds = trial_stage_seeds(self.seed, self.num_trials)
+        for index, (layout_seed, routing_seed) in enumerate(seeds):
+            outcome = TrialOutcome(index, layout_seed, routing_seed)
+            outcomes.append(outcome)
+            span_context = nullcontext() if tracer is None else tracer.span(
+                f"routing.trial{index}",
+                trial=index,
+                layout_seed=layout_seed,
+                routing_seed=routing_seed,
+            )
+            with span_context as span:
+                result = self._run_trial(dag, frontier, traversals, outcome, fewest_swaps)
+                if span is not None:
+                    self._annotate(span, outcome)
+            if result is None:
+                continue
+            # Noise cost is 0.0 unless routing is noise-aware; the trailing index makes
+            # the key a total order (deterministic winner).
+            key = (outcome.est_two_qubit, outcome.depth, outcome.noise_cost, index)
+            if best is None or key < best[0]:
+                best = (key, result)
+            if fewest_swaps is None or result.num_swaps < fewest_swaps:
+                fewest_swaps = result.num_swaps
 
-        live = list(trials)
-        finished: List[_Trial] = []
-        incumbent_swaps: Optional[int] = None
-        while live:
-            pending: List[Tuple[_Trial, ScoreRequest]] = []
-            still_live: List[_Trial] = []
-            for trial in live:
-                try:
-                    request = trial.steps.send(trial.reply)
-                except StopIteration as stop:
-                    self._finish_trial(trial, stop.value, tracer)
-                    finished.append(trial)
-                    if incumbent_swaps is None or trial.result.num_swaps < incumbent_swaps:
-                        incumbent_swaps = trial.result.num_swaps
-                else:
-                    trial.reply = None
-                    pending.append((trial, request))
-                    still_live.append(trial)
-            live = still_live
-            if self.prune and incumbent_swaps is not None:
-                kept: List[Tuple[_Trial, ScoreRequest]] = []
-                for trial, request in pending:
-                    if (
-                        trial.routing_phase
-                        and trial.router.swaps_so_far > incumbent_swaps
-                    ):
-                        self._prune_trial(trial, tracer)
-                        live.remove(trial)
-                    else:
-                        kept.append((trial, request))
-                pending = kept
-            if pending:
-                _evaluate_batch(pending)
-
-        if not finished:
-            raise TranspilerError("ensemble routing finished no trial")
-        winner = min(finished, key=lambda t: t.metric)
-        COUNTERS.inc("routing.ensemble.trials", len(trials))
-        COUNTERS.inc("routing.ensemble.pruned", sum(t.outcome.pruned for t in trials))
-        result = winner.result
+        winner_key, result = best
+        COUNTERS.inc("routing.ensemble.trials", len(outcomes))
+        COUNTERS.inc("routing.ensemble.pruned", sum(o.pruned for o in outcomes))
         property_set["layout"] = result.initial_layout
         property_set["initial_layout"] = result.initial_layout
         property_set["final_layout"] = result.final_layout
         property_set["num_swaps"] = result.num_swaps
         property_set["ensemble"] = {
             "num_trials": self.num_trials,
-            "executed_trials": [t.index for t in trials],
-            "winner": winner.index,
-            "winner_key": list(winner.metric),
-            "trials": [t.outcome.to_dict() for t in trials],
+            "winner": winner_key[-1],
+            "winner_key": list(winner_key),
+            "trials": [o.to_dict() for o in outcomes],
         }
         return result.dag
 
-    # ------------------------------------------------------------------
+    def _run_trial(
+        self, dag, frontier, traversals, outcome: TrialOutcome, fewest_swaps: Optional[int]
+    ) -> Optional[RoutingResult]:
+        """Run one trial on the solo path and fill in ``outcome``.
 
-    def _finish_trial(self, trial: _Trial, result: RoutingResult, tracer) -> None:
-        trial.result = result
-        est_2q, depth, noise_cost = _trial_metrics(
-            result, trial.router.distance, self.noise_aware
-        )
-        # Noise cost participates in the ordering only for noise-aware routing; the
-        # trailing index makes the key a total order (deterministic winner).
-        trial.metric = (est_2q, depth, noise_cost, trial.index)
-        outcome = trial.outcome
+        Returns the routed result, or ``None`` once the trial has inserted more SWAPs
+        than ``fewest_swaps`` (the best finished trial's count) and was stopped.
+        """
+        router = self.make_router(outcome.routing_seed)
+        num_physical = router.coupling_map.num_qubits
+        layout = Layout.random(dag.num_qubits, num_physical, seed=outcome.layout_seed)
+        if traversals is not None:
+            layout = refine_layout(
+                self.make_router(outcome.layout_seed, layout=True),
+                layout,
+                self.layout_iterations,
+                traversals,
+            )
+        routed, emit = dag_emitter(dag, num_physical)
+        steps = router.route_steps(frontier.copy(), layout, emit=emit)
+        while True:
+            try:
+                swaps = next(steps)
+            except StopIteration as stop:
+                result = stop.value
+                break
+            if fewest_swaps is not None and swaps > fewest_swaps:
+                steps.close()
+                outcome.pruned = True
+                outcome.num_swaps = swaps
+                return None
+        result.dag = routed
+        est_2q, depth, noise_cost = _trial_metrics(result, router.distance, self.noise_aware)
         outcome.num_swaps = result.num_swaps
         outcome.est_two_qubit = est_2q
         outcome.depth = depth
         outcome.noise_cost = noise_cost
-        if trial.span is not None:
-            trial.span.set("num_swaps", result.num_swaps)
-            trial.span.set("est_two_qubit", est_2q)
-            trial.span.set("depth", depth)
-            if self.noise_aware:
-                trial.span.set("noise_cost", noise_cost)
-            tracer.record(trial.span)
+        return result
 
-    def _prune_trial(self, trial: _Trial, tracer) -> None:
-        trial.steps.close()
-        trial.outcome.pruned = True
-        trial.outcome.num_swaps = trial.router.swaps_so_far
-        if trial.span is not None:
-            trial.span.set("pruned", True)
-            trial.span.set("num_swaps", trial.router.swaps_so_far)
-            tracer.record(trial.span)
+    def _annotate(self, span, outcome: TrialOutcome) -> None:
+        span.set("num_swaps", outcome.num_swaps)
+        if outcome.pruned:
+            span.set("pruned", True)
+            return
+        span.set("est_two_qubit", outcome.est_two_qubit)
+        span.set("depth", outcome.depth)
+        if self.noise_aware:
+            span.set("noise_cost", outcome.noise_cost)

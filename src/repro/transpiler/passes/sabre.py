@@ -188,41 +188,13 @@ class RoutingResult:
         return self._circuit
 
 
-@dataclass
-class ScoreRequest:
-    """One pending candidate-scoring evaluation, yielded by :meth:`route_steps`.
-
-    The router suspends at every heuristic scoring point and yields one of these; the
-    driver answers with the float score array (``generator.send(scores)``).  The solo
-    driver (:func:`drive_steps`) simply calls :meth:`evaluate`; the ensemble engine in
-    :mod:`repro.transpiler.ensemble` instead stacks the index tables of every live
-    trial's request into one batched kernel call per step.
-    """
-
-    router: "SabreSwapRouter"
-    candidates: List[Tuple[int, int]]
-    front_gates: List[DAGNode]
-    extended: List[DAGNode]
-    #: (2 x gates) logical qubit pairs of ``front_gates + extended``, in that order.
-    qubit_pairs: np.ndarray
-    layout: Layout
-
-    def evaluate(self) -> np.ndarray:
-        """Score this request in isolation (the single-trial path)."""
-        return self.router._score_candidates(
-            self.candidates, self.front_gates, self.extended, self.qubit_pairs, self.layout
-        )
-
-
 def drive_steps(steps):
-    """Run a routing-step generator to completion, answering each request in place."""
-    reply = None
+    """Run a routing-step generator to completion and return its result."""
     while True:
         try:
-            request = steps.send(reply)
+            next(steps)
         except StopIteration as stop:
             return stop.value
-        reply = request.evaluate()
 
 
 def layout_traversals(dag: DAGCircuit):
@@ -244,18 +216,17 @@ def layout_traversals(dag: DAGCircuit):
     )
 
 
-def layout_selection_steps(router, layout, iterations, traversals):
-    """Generator form of the SABRE reverse-traversal layout refinement.
+def refine_layout(router, layout, iterations, traversals):
+    """SABRE reverse-traversal layout refinement; returns the refined :class:`Layout`.
 
-    Yields the underlying router's :class:`ScoreRequest`\\ s; returns the refined
-    :class:`Layout`.  ``drive_steps`` makes this the classic solo refinement; the
-    ensemble engine interleaves several of these (one per trial) in lockstep.  The
-    sweeps' routed operations are never emitted — only the layout they end in matters.
+    Each of ``iterations`` rounds routes every frontier of ``traversals`` (see
+    :func:`layout_traversals`) in turn, starting from the layout the previous sweep
+    ended in.  The sweeps' routed operations are never emitted — only the layout they
+    end in matters.
     """
     for _ in range(iterations):
         for frontier in traversals:
-            swept = yield from router.route_steps(frontier.copy(), layout)
-            layout = swept.final_layout
+            layout = drive_steps(router.route_steps(frontier.copy(), layout)).final_layout
     return layout
 
 
@@ -325,12 +296,12 @@ class SabreSwapRouter:
         Walks ``frontier`` to exhaustion, handing every routed operation to
         ``emit(position, op)`` the moment it is placed (``op`` has the
         ``gate``/``name``/``qubits``/``clbits`` shape of an
-        :class:`~repro.circuit.circuit.Instruction`).  Yields a :class:`ScoreRequest` at
-        every heuristic scoring point and expects the score array back via ``send()``;
-        returns a :class:`RoutingResult` with ``dag=None`` as the generator's
-        ``StopIteration`` value.  :func:`drive_steps` answers each request in place; the
-        ensemble engine drives many of these concurrently, batching the per-step score
-        evaluations of all live trials into one kernel call.
+        :class:`~repro.circuit.circuit.Instruction`).  At every heuristic scoring point,
+        before it scores the candidates, the loop yields the number of SWAPs inserted so
+        far: :func:`repro.core.stream.transpile_stream` flushes its output buffer there,
+        and the ensemble stops a trial that has fallen behind by closing the generator.
+        Returns a :class:`RoutingResult` with ``dag=None`` as the generator's
+        ``StopIteration`` value; :func:`drive_steps` runs it to that result.
         """
         if frontier.num_qubits > self.coupling_map.num_qubits:
             raise TranspilerError(
@@ -349,8 +320,6 @@ class SabreSwapRouter:
 
         swap_labels: Dict[int, str] = {}
         num_swaps = 0
-        #: Live progress gauge the ensemble driver reads to prune hopeless trials.
-        self.swaps_so_far = 0
         stall_counter = 0
         stall_limit = self._STALL_LIMIT_FACTOR * (self.coupling_map.diameter() + 1)
         last_swap: Optional[Tuple[int, int]] = None
@@ -392,14 +361,13 @@ class SabreSwapRouter:
                 # Safety valve: march the first blocked gate together along a shortest path.
                 swap = self._forced_swap(front_gates[0], layout)
             else:
+                yield num_swaps
                 candidates = self._swap_candidates(front_gates, layout)
                 if last_swap in candidates and len(candidates) > 1:
                     candidates = [c for c in candidates if c != last_swap]
-                # Suspend around the score evaluation so an external driver may batch
-                # it across trials.
                 self._begin_scoring(candidates)
-                scores = yield ScoreRequest(
-                    self, candidates, front_gates, extended, qubit_pairs, layout
+                scores = self._score_candidates(
+                    candidates, front_gates, extended, qubit_pairs, layout
                 )
                 swap = self._choose_swap(candidates, scores, rng)
 
@@ -415,7 +383,6 @@ class SabreSwapRouter:
             self._decay[swap[0]] += DECAY_DELTA
             self._decay[swap[1]] += DECAY_DELTA
             num_swaps += 1
-            self.swaps_so_far = num_swaps
             stall_counter += 1
             last_swap = swap
 
@@ -508,31 +475,6 @@ class SabreSwapRouter:
         choice = int(rng.integers(len(best_indices)))
         return candidates[int(best_indices[choice])]
 
-    @staticmethod
-    def _candidate_arrays(candidates: Sequence[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
-        pairs = np.asarray(candidates, dtype=np.intp).reshape(len(candidates), 2)
-        return pairs[:, 0], pairs[:, 1]
-
-    def _mapped_index_arrays(
-        self,
-        c0: np.ndarray,
-        c1: np.ndarray,
-        qubit_pairs: np.ndarray,
-        layout: Layout,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(candidates x gates) tables of post-swap physical indices.
-
-        Column ``g`` belongs to the gate on logical qubits ``qubit_pairs[:, g]``.  Entry
-        ``[s, g]`` of the pair is that gate's qubit pair after virtually applying
-        candidate swap ``s`` to the current layout — the index form the scoring kernel
-        gathers distances from, and what the ensemble engine stacks across trials.
-        """
-        physical = layout.physical_array()[qubit_pairs]  # (2, G)
-        c0 = c0[:, None, None]  # (S, 1, 1)
-        c1 = c1[:, None, None]
-        mapped = np.where(physical == c0, c1, np.where(physical == c1, c0, physical))
-        return mapped[:, 0], mapped[:, 1]  # (S, G) each
-
     def _score_candidates(
         self,
         candidates: Sequence[Tuple[int, int]],
@@ -543,13 +485,19 @@ class SabreSwapRouter:
     ) -> np.ndarray:
         """SABRE lookahead cost of every candidate in one vectorized evaluation.
 
-        Normalised front-layer distance plus weighted lookahead, scaled by the decay of
-        the candidate's hotter qubit.
+        ``qubit_pairs`` holds the logical qubit pair of each gate of ``front_gates +
+        extended`` as a column.  Entry ``[s, g]`` of the (candidates x gates) index
+        tables is gate ``g``'s physical pair after virtually applying candidate swap
+        ``s`` to the current layout — where the scoring kernel gathers distances.
         """
-        c0, c1 = self._candidate_arrays(candidates)
-        mapped_a, mapped_b = self._mapped_index_arrays(c0, c1, qubit_pairs, layout)
+        pairs = np.asarray(candidates, dtype=np.intp).reshape(len(candidates), 2)
+        c0, c1 = pairs[:, 0], pairs[:, 1]
+        physical = layout.physical_array()[qubit_pairs]  # (2, G)
+        s0 = c0[:, None, None]  # (S, 1, 1)
+        s1 = c1[:, None, None]
+        mapped = np.where(physical == s0, s1, np.where(physical == s1, s0, physical))
         front_raw, ext_raw = front_ext_sums(
-            self.distance, mapped_a, mapped_b, len(front_gates)
+            self.distance, mapped[:, 0], mapped[:, 1], len(front_gates)
         )
         return self._finalize_scores(
             candidates, c0, c1, front_raw, ext_raw, front_gates, extended
@@ -567,9 +515,8 @@ class SabreSwapRouter:
     ) -> np.ndarray:
         """Turn the kernel's raw (front, extended) sums into the SABRE cost array.
 
-        Split from :meth:`_score_candidates` so the ensemble engine can run the raw
-        sums for every live trial through one batched kernel call, then finalize each
-        trial's slice with its own decay state.  NASSC overrides this (not the kernel).
+        Normalised front-layer distance plus weighted lookahead, scaled by the decay of
+        the candidate's hotter qubit.  NASSC overrides this hook (not the kernel).
         """
         cost = front_raw / max(len(front_gates), 1)
         if extended:
@@ -629,7 +576,5 @@ class SabreLayoutSelection(AnalysisPass):
         layout = Layout.random(dag.num_qubits, router.coupling_map.num_qubits, seed=router.seed)
         traversals = layout_traversals(dag) if self.iterations > 0 else None
         if traversals is not None:
-            layout = drive_steps(
-                layout_selection_steps(router, layout, self.iterations, traversals)
-            )
+            layout = refine_layout(router, layout, self.iterations, traversals)
         property_set["layout"] = layout

@@ -18,8 +18,7 @@ Pass taxonomy
 Flow control
     Schedules may contain :class:`FlowController` items alongside plain passes:
     :class:`FixedPoint` repeats its body until the DAG fingerprint stops changing (the
-    declared converge-until-stable optimization loop), :class:`DoWhile` loops on a
-    property-set predicate, and :class:`ConditionalController` gates its body on one.
+    declared converge-until-stable optimization loop).
 
 Timing
     Every pass invocation is recorded as an ordered ``(name, elapsed)`` entry in
@@ -31,7 +30,7 @@ Timing
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.dag import DAGCircuit
@@ -225,42 +224,6 @@ class FixedPoint(FlowController):
             dag = self._run_body(dag, manager)
             if dag.fingerprint() == before:
                 break
-        return dag
-
-
-class DoWhile(FlowController):
-    """Run a body of passes, then repeat while ``condition(property_set)`` holds."""
-
-    def __init__(
-        self,
-        passes: Sequence[ScheduleItem],
-        condition: Callable[[PropertySet], bool],
-        max_iterations: int = 100,
-    ) -> None:
-        super().__init__(passes)
-        self.condition = condition
-        self.max_iterations = max_iterations
-
-    def execute(self, dag: DAGCircuit, manager: "PassManager") -> DAGCircuit:
-        for _ in range(self.max_iterations):
-            dag = self._run_body(dag, manager)
-            if not self.condition(manager.property_set):
-                break
-        return dag
-
-
-class ConditionalController(FlowController):
-    """Run a body of passes only when ``condition(property_set)`` holds."""
-
-    def __init__(
-        self, passes: Sequence[ScheduleItem], condition: Callable[[PropertySet], bool]
-    ) -> None:
-        super().__init__(passes)
-        self.condition = condition
-
-    def execute(self, dag: DAGCircuit, manager: "PassManager") -> DAGCircuit:
-        if self.condition(manager.property_set):
-            dag = self._run_body(dag, manager)
         return dag
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs import (
-    Tracer,
+    Span,
     chrome_trace,
     format_tree,
     load_trace_file,
@@ -18,16 +18,15 @@ from repro.obs import (
 
 def make_spans():
     """A tiny two-level tree: root (100 ms) with children of 30 ms and 20 ms."""
-    tracer = Tracer(process="client")
-    root = tracer.make_span("root", start=10.0)
-    child_a = tracer.make_span("child_a", parent_id=root.span_id, start=10.01, cost=1)
-    child_b = tracer.make_span("child_b", parent_id=root.span_id, start=10.05)
+    root = Span("root", trace_id="t", start=10.0, process="client")
+    child_a = Span("child_a", trace_id="t", parent_id=root.span_id, start=10.01,
+                   process="client", attrs={"cost": 1})
+    child_b = Span("child_b", trace_id="t", parent_id=root.span_id, start=10.05,
+                   process="client")
     child_a.finish(10.04)   # 30 ms
     child_b.finish(10.07)   # 20 ms
     root.finish(10.10)      # 100 ms total, 50 ms self
-    for span in (root, child_a, child_b):
-        tracer.record(span)
-    return tracer.span_dicts()
+    return [span.to_dict() for span in (root, child_a, child_b)]
 
 
 class TestChromeTrace:

@@ -90,7 +90,7 @@ class TestRegistry:
     @pytest.mark.parametrize("requires_coupling", [False, True])
     def test_plan_must_agree_with_requires_coupling(self, requires_coupling):
         """A method returns a plan exactly when it requires a coupling map: the rule
-        behind ``supports_best_of``, which the server's trial fan-out reads."""
+        behind ``supports_best_of``, which decides whether ``best_of`` runs an ensemble."""
         factory = (lambda target, options: None) if requires_coupling else sabre_clone_factory
         register_routing("inconsistent", factory, requires_coupling=requires_coupling)
         try:

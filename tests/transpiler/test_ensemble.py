@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from repro.circuit import qasm, random_cx_circuit
@@ -14,14 +13,10 @@ from repro.core.pipeline import transpile
 from repro.exceptions import TranspilerError
 from repro.hardware import Target, linear_coupling_map
 from repro.obs import COUNTERS, Tracer, use_tracer
-from repro.transpiler import PipelineBuilder
-from repro.transpiler.ensemble import (
-    EnsembleRouting,
-    _stacked_sums,
-    trial_stage_seeds,
-)
+from repro.transpiler import PassManager, PipelineBuilder
+from repro.transpiler.ensemble import EnsembleRouting, trial_stage_seeds
 from repro.transpiler.passes import coupling_violations
-from repro.transpiler.passes.sabre import front_ext_sums
+from repro.transpiler.passes.sabre import SabreLayoutSelection, SabreRouting
 
 
 def _bench_circuit(seed=7, qubits=6, gates=30):
@@ -38,8 +33,9 @@ class TestTrialStageSeeds:
         a = trial_stage_seeds(42, 8)
         b = trial_stage_seeds(42, 8)
         assert a == b
-        # The first K seeds are a prefix of the first K+n seeds: trial identity does
-        # not depend on the ensemble size, which is what fan-out chunking relies on.
+        # The first K seeds are a prefix of the first K+n seeds: a trial's identity
+        # does not depend on the ensemble size, so best_of=K+n re-runs every trial of
+        # best_of=K and can only match or beat it.
         assert trial_stage_seeds(42, 4) == a[:4]
 
     def test_independent_per_trial_and_stage(self):
@@ -99,7 +95,6 @@ class TestEnsembleTranspile:
         assert not coupling_violations(result.circuit, target.coupling_map)
         ensemble = result.ensemble
         assert ensemble["num_trials"] == 4
-        assert ensemble["executed_trials"] == [0, 1, 2, 3]
         assert ensemble["winner"] in range(4)
         assert len(ensemble["trials"]) == 4
         finished = [t for t in ensemble["trials"] if not t["pruned"]]
@@ -108,38 +103,6 @@ class TestEnsembleTranspile:
         assert not winner["pruned"]
         assert winner["est_two_qubit"] == min(t["est_two_qubit"] for t in finished)
         assert list(ensemble["winner_key"])[0] == winner["est_two_qubit"]
-
-    def test_never_worse_than_best_independent_trial(self):
-        # Property: the ensemble winner equals the best of the same K trials run
-        # one at a time (identical seeds via trial_subset), so best_of=K can never
-        # be worse than any single trial it contains.
-        circuit = _bench_circuit(seed=11)
-        target = Target(coupling_map=linear_coupling_map(8))
-        ensemble = transpile(circuit, target, routing="sabre", seed=5, best_of=4)
-        solo_keys = []
-        for index in range(4):
-            solo = transpile(
-                circuit, target, routing="sabre", seed=5, best_of=4,
-                _trial_subset=[index],
-            )
-            solo_keys.append(tuple(solo.ensemble["winner_key"]))
-        assert tuple(ensemble.ensemble["winner_key"]) == min(solo_keys)
-        assert ensemble.ensemble["winner_key"][0] <= min(k[0] for k in solo_keys)
-
-    def test_fanout_partition_reduces_to_whole_run(self):
-        # The server splits trials into chunks and takes the min winner_key; any
-        # partition must reproduce the whole-ensemble result bit-for-bit.
-        circuit = _bench_circuit(seed=13)
-        target = Target(coupling_map=linear_coupling_map(8))
-        whole = transpile(circuit, target, routing="nassc", seed=2, best_of=4)
-        chunks = [
-            transpile(circuit, target, routing="nassc", seed=2, best_of=4,
-                      _trial_subset=subset)
-            for subset in ([0, 1], [2, 3])
-        ]
-        best = min(chunks, key=lambda r: tuple(r.ensemble["winner_key"]))
-        assert tuple(best.ensemble["winner_key"]) == tuple(whole.ensemble["winner_key"])
-        assert qasm.dumps(best.circuit) == qasm.dumps(whole.circuit)
 
     def test_reproducible_across_processes(self):
         circuit = _bench_circuit(seed=17)
@@ -196,13 +159,6 @@ class TestEnsembleTranspile:
             assert t["est_two_qubit"] is None
             assert t["num_swaps"] is not None
 
-    def test_batched_kernel_is_exercised(self):
-        circuit = _bench_circuit(seed=31)
-        before = COUNTERS.get("routing.ensemble.batched_requests")
-        target = Target(coupling_map=linear_coupling_map(8))
-        transpile(circuit, target, routing="sabre", seed=0, best_of=4)
-        assert COUNTERS.get("routing.ensemble.batched_requests") > before
-
     def test_per_trial_spans(self):
         circuit = _bench_circuit(seed=37)
         tracer = Tracer()
@@ -222,50 +178,138 @@ class TestEnsembleTranspile:
             if not trial["pruned"]:
                 assert attrs["est_two_qubit"] == trial["est_two_qubit"]
 
+    def test_trial_spans_are_sequential(self):
+        # Trials run one after another under the pass span: each trial span closes
+        # before the next one opens.
+        tracer = Tracer()
+        with use_tracer(tracer):
+            transpile(
+                _bench_circuit(seed=37), Target(coupling_map=linear_coupling_map(8)),
+                routing="sabre", seed=4, best_of=3,
+            )
+        spans = tracer.span_dicts()
+        (pass_span,) = [s for s in spans if s["name"] == "pass:EnsembleRouting"]
+        trials = [s for s in spans if s["name"].startswith("routing.trial")]
+        assert [s["name"] for s in trials] == [f"routing.trial{i}" for i in range(3)]
+        assert all(s["parent_id"] == pass_span["span_id"] for s in trials)
+        for earlier, later in zip(trials, trials[1:]):
+            assert earlier["end"] <= later["start"]
+
+
+# (routing, circuit seed, master seed): six-trial ensembles on an 8-qubit, 60-gate
+# circuit over a 10-qubit line, each won by a trial after the third and each pruning
+# at least one trial.
+SEQUENTIAL_CASES = [
+    pytest.param("sabre", 13, 5, id="sabre"),
+    pytest.param("nassc", 11, 2, id="nassc"),
+]
+
+
+def _sequential_case(routing, circuit_seed, seed, best_of):
+    return transpile(
+        _bench_circuit(seed=circuit_seed, qubits=8, gates=60),
+        Target(coupling_map=linear_coupling_map(10)),
+        routing=routing, seed=seed, best_of=best_of,
+    )
+
+
+class TestSequentialTrials:
+    @pytest.mark.parametrize("routing, circuit_seed, seed", SEQUENTIAL_CASES)
+    def test_earlier_trials_do_not_depend_on_later_ones(self, routing, circuit_seed, seed):
+        # A trial sees only the trials before it, so best_of=K+n starts with exactly
+        # the K outcomes of best_of=K (pruned flags included) and can only match or
+        # beat its winner.
+        three = _sequential_case(routing, circuit_seed, seed, best_of=3).ensemble
+        six = _sequential_case(routing, circuit_seed, seed, best_of=6).ensemble
+        assert six["trials"][:3] == three["trials"]
+        assert tuple(six["winner_key"]) < tuple(three["winner_key"])
+        assert six["winner"] >= 3
+
+    @pytest.mark.parametrize("routing, circuit_seed, seed", SEQUENTIAL_CASES)
+    def test_pruned_trials_trail_an_earlier_finisher(self, routing, circuit_seed, seed):
+        before = COUNTERS.get("routing.ensemble.pruned")
+        trials = _sequential_case(routing, circuit_seed, seed, best_of=6).ensemble["trials"]
+        pruned = [t for t in trials if t["pruned"]]
+        assert COUNTERS.get("routing.ensemble.pruned") - before == len(pruned)
+        assert pruned, "the case must prune"
+        # Trial 0 has no incumbent to trail; a later trial is stopped only once it has
+        # inserted more SWAPs than some trial that finished before it.
+        assert not trials[0]["pruned"]
+        for trial in pruned:
+            finished_before = [
+                t["num_swaps"] for t in trials[:trial["trial"]] if not t["pruned"]
+            ]
+            assert trial["num_swaps"] > min(finished_before)
+
+
+def _trial_key(routed, index, noise_distance):
+    """(est_2q, depth, noise_cost, index) of one routed trial, counted from its circuit:
+    every non-SWAP two-qubit gate counts 1 and every SWAP 3, and with a noise-aware
+    distance matrix each gate also adds its (3x for SWAPs) distance."""
+    est_2q = 0
+    noise_cost = 0.0
+    for inst in routed.data:
+        if inst.name == "barrier" or not inst.gate.is_unitary or len(inst.qubits) != 2:
+            continue
+        weight = 3 if inst.name == "swap" else 1
+        est_2q += weight
+        if noise_distance is not None:
+            noise_cost += float(weight) * float(noise_distance[inst.qubits[0], inst.qubits[1]])
+    return (est_2q, routed.depth(), noise_cost, index)
+
+
+def _unpruned_reference_cases():
+    from repro.benchlib import table_benchmarks
+
+    line = Target(coupling_map=linear_coupling_map(10))
+    return [
+        pytest.param(
+            _bench_circuit(seed=41, qubits=8, gates=60), line,
+            TranspileOptions(routing="sabre", seed=1, best_of=5), id="sabre",
+        ),
+        pytest.param(
+            _bench_circuit(seed=13), line,
+            TranspileOptions(routing="nassc", seed=2, best_of=4), id="nassc",
+        ),
+        pytest.param(
+            table_benchmarks(names=["grover_n4"])[0].build(),
+            Target.from_topology("montreal", 27, calibrated=True),
+            TranspileOptions(routing="nassc", seed=0, level="O3"), id="nassc-O3-calibrated",
+        ),
+    ]
+
 
 class TestEnsemblePass:
     def test_rejects_bad_trial_counts(self):
         make_router = _sabre_routers(linear_coupling_map(4))
         with pytest.raises(TranspilerError):
             EnsembleRouting(make_router, num_trials=0)
-        with pytest.raises(TranspilerError):
-            EnsembleRouting(make_router, num_trials=4, trial_subset=[4])
-        with pytest.raises(TranspilerError):
-            EnsembleRouting(make_router, num_trials=4, trial_subset=[])
 
-    def test_pruning_never_changes_the_winner(self):
-        # Pruning is an optimization, not a heuristic: the winner (and its routed
-        # circuit) must be identical with pruning on and off.
-        from repro.transpiler import PassManager
+    @pytest.mark.parametrize("circuit, target, options", _unpruned_reference_cases())
+    def test_winner_is_the_best_unpruned_trial(self, circuit, target, options):
+        # Pruning is lossless: the ensemble picks exactly the trial a full, unpruned
+        # comparison of its K trials would pick, each trial compiled alone through
+        # the solo layout and routing passes with that trial's seeds.
+        builder = PipelineBuilder(target, options)
+        (ensemble,) = [p for p in builder.stage("routing") if isinstance(p, EnsembleRouting)]
+        manager = PassManager(builder.stage("init") + [ensemble])
+        routed = qasm.dumps(manager.run(circuit))
+        summary = manager.property_set["ensemble"]
 
-        circuit = _bench_circuit(seed=41, qubits=8, gates=60)
-        make_router = _sabre_routers(linear_coupling_map(10))
-        results = {}
-        for prune in (True, False):
-            manager = PassManager([
-                EnsembleRouting(make_router, num_trials=5, seed=1, prune=prune)
-            ])
-            routed = manager.run(circuit)
-            results[prune] = (qasm.dumps(routed), manager.property_set["ensemble"])
-        assert not any(t["pruned"] for t in results[False][1]["trials"])
-        assert results[True][0] == results[False][0]
-        assert results[True][1]["winner_key"] == results[False][1]["winner_key"]
-
-
-class TestStackedSums:
-    def test_bit_identical_to_solo_kernel_calls(self):
-        rng = np.random.default_rng(0)
-        n = 9
-        distance = np.abs(rng.normal(size=(n, n)))
-        distance = np.ascontiguousarray((distance + distance.T) / 2.0)
-        np.fill_diagonal(distance, 0.0)
-        tables = []
-        for rows, cols in [(3, 4), (5, 2), (1, 7), (4, 4)]:
-            tables.append((
-                rng.integers(0, n, size=(rows, cols)).astype(np.intp),
-                rng.integers(0, n, size=(rows, cols)).astype(np.intp),
-            ))
-        stacked = _stacked_sums(distance, tables)
-        for (a, b), got in zip(tables, stacked):
-            solo, _ = front_ext_sums(distance, a, b, a.shape[1])
-            assert got.tobytes() == solo.tobytes()
+        noise_distance = builder.distance_matrix if builder.noise_aware else None
+        solo_runs = {}
+        seeds = trial_stage_seeds(options.seed, ensemble.num_trials)
+        for index, (layout_seed, routing_seed) in enumerate(seeds):
+            solo = PipelineBuilder(target, options)
+            solo_circuit = PassManager(solo.stage("init") + [
+                SabreLayoutSelection(
+                    solo.make_router(layout_seed, layout=True),
+                    iterations=options.layout_iterations,
+                ),
+                SabreRouting(solo.make_router(routing_seed)),
+            ]).run(circuit)
+            key = _trial_key(solo_circuit, index, noise_distance)
+            solo_runs[key] = qasm.dumps(solo_circuit)
+        best = min(solo_runs)
+        assert tuple(summary["winner_key"]) == best
+        assert routed == solo_runs[best]

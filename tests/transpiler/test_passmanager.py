@@ -7,8 +7,6 @@ from repro.circuit.gates import gate as make_gate
 from repro.exceptions import TranspilerError
 from repro.transpiler import (
     AnalysisPass,
-    ConditionalController,
-    DoWhile,
     FixedPoint,
     PassManager,
     PropertySet,
@@ -195,33 +193,23 @@ class TestFlowControl:
         with pytest.raises(TranspilerError):
             FixedPoint([_AddGatePass()], max_iterations=0)
 
-    def test_do_while_loops_on_condition(self):
-        pm = PassManager(
-            [
-                DoWhile(
-                    [_CountingPass()],
-                    condition=lambda props: props.get("count", 0) < 5,
-                )
-            ]
-        )
-        pm.run(QuantumCircuit(1))
-        assert pm.property_set["count"] == 5
+    def test_fixed_point_body_shares_the_property_set(self):
+        circuit = QuantumCircuit(1)
+        for _ in range(3):
+            circuit.x(0)
+        pm = PassManager([FixedPoint([_CountingPass(), _RemoveOneXPass()], max_iterations=50)])
+        pm.run(circuit)
+        # One count per body run: three removals plus the confirming iteration.
+        assert pm.property_set["count"] == 4
 
-    def test_conditional_controller_runs_when_true(self):
-        class Arm(AnalysisPass):
-            def run(self, dag, property_set):
-                property_set["armed"] = True
-
-        pm = PassManager(
-            [
-                Arm(),
-                ConditionalController(
-                    [_AddGatePass()], condition=lambda props: props.get("armed", False)
-                ),
-                ConditionalController(
-                    [_AddGatePass()], condition=lambda props: props.get("missing", False)
-                ),
-            ]
-        )
-        result = pm.run(QuantumCircuit(1))
-        assert result.count_gate("x") == 1
+    def test_fixed_point_body_may_hold_a_flow_controller(self):
+        circuit = QuantumCircuit(1)
+        for _ in range(4):
+            circuit.x(0)
+        inner = FixedPoint([_RemoveOneXPass()], max_iterations=2)
+        pm = PassManager([FixedPoint([inner, _CountingPass()], max_iterations=50)])
+        result = pm.run(circuit)
+        assert result.count_gate("x") == 0
+        # The inner loop removes two x gates per outer iteration; the third outer
+        # iteration changes nothing and ends the outer loop.
+        assert pm.property_set["count"] == 3

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.circuit import QuantumCircuit, random_cx_circuit
+from repro.circuit import DAGCircuit, QuantumCircuit, random_cx_circuit
 from repro.circuit.dag import StreamingDAG
 from repro.core.nassc import NASSCSwapRouter
 from repro.exceptions import TranspilerError
 from repro.hardware import grid_coupling_map, linear_coupling_map
+from repro.obs import COUNTERS
 from repro.transpiler import PassManager, PropertySet
 from repro.transpiler.passes import (
     Layout,
@@ -16,7 +17,13 @@ from repro.transpiler.passes import (
     SabreSwapRouter,
     coupling_violations,
 )
-from repro.transpiler.passes.sabre import front_ext_sums
+from repro.transpiler.passes.sabre import (
+    drive_steps,
+    front_ext_sums,
+    layout_traversals,
+    refine_layout,
+    whole_frontier,
+)
 
 
 def all_gates_mapped(circuit, coupling):
@@ -132,6 +139,20 @@ class TestRoutingPasses:
         selection.run_circuit(circuit, props)
         refined = SabreSwapRouter(grid9, seed=0).route(circuit, props["layout"])
         assert refined.num_swaps <= baseline.num_swaps + 2
+
+    def test_layout_selection_refines_a_random_start(self, grid9):
+        # The pass is the shared refinement run from the router seed's random layout,
+        # the same two steps every ensemble trial takes with its own seeds.
+        circuit = random_cx_circuit(7, 40, seed=21)
+        props = PropertySet()
+        SabreLayoutSelection(SabreSwapRouter(grid9, seed=5), iterations=2).run_circuit(
+            circuit, props
+        )
+        start = Layout.random(7, 9, seed=5)
+        traversals = layout_traversals(DAGCircuit.from_circuit(circuit))
+        refined = refine_layout(SabreSwapRouter(grid9, seed=5), start, 2, traversals)
+        assert props["layout"].physical_array().tolist() == refined.physical_array().tolist()
+        assert refined.physical_array().tolist() != start.physical_array().tolist()
 
     def test_layout_selection_handles_no_two_qubit_gates(self, linear5):
         circuit = QuantumCircuit(3)
@@ -249,21 +270,76 @@ class TestScoringTables:
             return lookahead(size, **kwargs)
 
         frontier.lookahead = recording_lookahead
-        steps = router_cls(linear_coupling_map(8), seed=0).route_steps(
-            frontier, Layout.trivial(8)
-        )
+        router = router_cls(linear_coupling_map(8), seed=0)
+        score = router._score_candidates
         grown = 0
-        reply = None
-        while True:
-            try:
-                request = steps.send(reply)
-            except StopIteration:
-                break
-            assert request.front_gates == seen["front"]
-            pairs = [list(node.qubits) for node in request.front_gates + request.extended]
-            assert request.qubit_pairs.T.tolist() == pairs
+
+        def recording_score(candidates, front_gates, extended, qubit_pairs, layout):
+            nonlocal grown
+            assert front_gates == seen["front"]
+            pairs = [list(node.qubits) for node in front_gates + extended]
+            assert qubit_pairs.T.tolist() == pairs
             if two_qubit_front() != seen["front"]:
                 grown += 1
                 seen["front"] = two_qubit_front()
-            reply = request.evaluate()
+            return score(candidates, front_gates, extended, qubit_pairs, layout)
+
+        router._score_candidates = recording_score
+        drive_steps(router.route_steps(frontier, Layout.trivial(8)))
         assert grown > 0
+
+
+def _recording_steps(router, circuit, layout):
+    """``router.route_steps`` over ``circuit``, and the list its ``emit`` appends to."""
+    emitted = []
+    frontier = whole_frontier(circuit.data, circuit.num_qubits)
+    steps = router.route_steps(frontier, layout, emit=lambda position, op: emitted.append(op))
+    return steps, emitted
+
+
+class TestRouteSteps:
+    """What ``route_steps`` yields: the running SWAP count at each scoring point."""
+
+    @pytest.mark.parametrize(
+        "router_cls", [SabreSwapRouter, NASSCSwapRouter], ids=["sabre", "nassc"]
+    )
+    def test_yields_the_swaps_already_emitted(self, router_cls):
+        circuit = random_cx_circuit(7, 50, seed=3)
+        router = router_cls(grid_coupling_map(3, 3), seed=1)
+        steps, emitted = _recording_steps(router, circuit, Layout.random(7, 9, seed=2))
+        selections = COUNTERS.get("routing.swap_selections")
+        yielded = []
+        while True:
+            try:
+                count = next(steps)
+            except StopIteration as stop:
+                result = stop.value
+                break
+            # The count is taken before the step scores: every SWAP it reports is
+            # already out, and the SWAP this step picks is not.
+            assert count == sum(op.name == "swap" for op in emitted)
+            yielded.append(count)
+        assert yielded and yielded[0] == 0
+        # Each scoring point inserts one SWAP before the next one is reached.
+        assert all(a < b for a, b in zip(yielded, yielded[1:]))
+        assert yielded[-1] < result.num_swaps
+        assert result.num_swaps == sum(op.name == "swap" for op in emitted)
+        assert COUNTERS.get("routing.swap_selections") - selections == len(yielded)
+
+    def test_closing_at_a_scoring_point_stops_the_run(self):
+        # How the ensemble stops a trial that has fallen behind: nothing is emitted
+        # after the close, and the run's SWAPs are never counted as inserted.
+        circuit = random_cx_circuit(7, 50, seed=3)
+        steps, emitted = _recording_steps(
+            SabreSwapRouter(grid_coupling_map(3, 3), seed=1), circuit,
+            Layout.random(7, 9, seed=2),
+        )
+        inserted = COUNTERS.get("routing.swaps_inserted")
+        while next(steps) < 3:
+            pass
+        emitted_at_close = len(emitted)
+        steps.close()
+        with pytest.raises(StopIteration):
+            next(steps)
+        assert len(emitted) == emitted_at_close
+        assert COUNTERS.get("routing.swaps_inserted") == inserted
