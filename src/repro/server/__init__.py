@@ -11,8 +11,9 @@ worker entry point — into an *online* service that concurrent clients hit over
 * :class:`JobQueue` (:mod:`repro.server.queue`) — priority queue with per-client fair
   scheduling, bounded admission (429 backpressure), idempotent resubmission by job
   fingerprint, and cancellation.
-* :class:`JobRunner` (:mod:`repro.server.runner`) — dispatches queued jobs onto a
-  process pool off the event loop, sharing one result cache with the batch CLI.
+* :class:`JobRunner` (:mod:`repro.server.runner`) — dispatches queued jobs onto the
+  batch executor's worker pool off the event loop, sharing one result cache with the
+  batch CLI.
 * :class:`ServerMetrics` (:mod:`repro.server.metrics`) — the server's instruments and
   live-state gauges, declared on a :class:`repro.obs.metrics.Registry` (the one
   Prometheus renderer; read pages back with :func:`repro.obs.parse_metric`).

@@ -71,7 +71,6 @@ from .queue import (
     CANCELLED,
     QUEUED,
     RUNNING,
-    TERMINAL_STATES,
     JobQueue,
     JobRecord,
     QueueFull,
@@ -358,51 +357,13 @@ class ReproServer(AsyncHTTPServer):
         )
         writer.write(head.encode("latin-1"))
         await writer.drain()
-
-        async def send_chunk(data: bytes) -> None:
+        # Blank-line keepalives: clients skip empty lines; the traffic keeps their socket
+        # (and any intermediary) from timing out a healthy job.
+        async for event in record.stream_events(EVENTS_KEEPALIVE_SECONDS):
+            line = "\n" if event is None else json.dumps({"id": record.id, **event}) + "\n"
+            data = line.encode("utf-8")
             writer.write(f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n")
             await writer.drain()
-
-        # Absolute event indexing: the record keeps a capped tail, so a consumer that
-        # falls behind a streaming job's chunk events resumes at the oldest retained
-        # event after an explicit ``events_dropped`` notice (never silently skips).
-        index = record.events_base
-        terminal_sent = False
-        while not terminal_sent:
-            changed = record.change_event()  # capture BEFORE scanning the event list
-            if index < record.events_base:
-                dropped = record.events_base - index
-                index = record.events_base
-                await send_chunk(
-                    (
-                        json.dumps(
-                            {
-                                "id": record.id,
-                                "state": "events_dropped",
-                                "at": time.time(),
-                                "detail": {"dropped": dropped},
-                            }
-                        )
-                        + "\n"
-                    ).encode("utf-8")
-                )
-            while index - record.events_base < len(record.events):
-                event = record.events[index - record.events_base]
-                index += 1
-                await send_chunk(
-                    (json.dumps({"id": record.id, **event}) + "\n").encode("utf-8")
-                )
-                if event["state"] in TERMINAL_STATES:
-                    terminal_sent = True
-                    break
-            if terminal_sent:
-                break
-            try:
-                await asyncio.wait_for(changed.wait(), timeout=EVENTS_KEEPALIVE_SECONDS)
-            except asyncio.TimeoutError:
-                # Blank-line keepalive: clients skip empty lines; the traffic keeps
-                # their socket (and any intermediary) from timing out a healthy job.
-                await send_chunk(b"\n")
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 

@@ -272,14 +272,6 @@ class JobRecord:
 
     # -- waiting and streaming ------------------------------------------------
 
-    def change_event(self) -> asyncio.Event:
-        """The event that fires on the *next* transition.
-
-        Capture it BEFORE scanning :attr:`events` — transitions replace the event, so a
-        stale reference would sleep through updates.
-        """
-        return self._changed
-
     async def wait_terminal(self, timeout: Optional[float] = None) -> bool:
         """Block until the record reaches a terminal state; ``False`` on timeout."""
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -297,12 +289,13 @@ class JobRecord:
                 return False
         return True
 
-    async def stream_events(self) -> AsyncIterator[Dict]:
+    async def stream_events(self, keepalive: float) -> AsyncIterator[Optional[Dict]]:
         """Yield every retained event, then live transitions until a terminal one.
 
         Indexing is by *absolute* event position: if the capped tail dropped events
         faster than this consumer read them, a synthetic ``events_dropped`` event is
-        yielded for the gap before resuming at the oldest retained event.
+        yielded for the gap before resuming at the oldest retained event.  ``None`` is
+        yielded after each ``keepalive`` seconds without a transition.
         """
         index = self.events_base
         while True:
@@ -321,7 +314,10 @@ class JobRecord:
                 yield event
                 if event["state"] in TERMINAL_STATES:
                     return
-            await changed.wait()
+            try:
+                await asyncio.wait_for(changed.wait(), timeout=keepalive)
+            except asyncio.TimeoutError:
+                yield None
 
 
 class JobQueue:
@@ -345,9 +341,6 @@ class JobQueue:
         self._available: Optional[asyncio.Event] = None
         self._queued_count = 0
         self.in_flight = 0
-        self.submitted = 0
-        self.deduplicated = 0
-        self.rejected = 0
 
     # -- submission -----------------------------------------------------------
 
@@ -380,10 +373,8 @@ class JobQueue:
             fingerprint = job.fingerprint()
         existing = self.find_fingerprint(fingerprint)
         if existing is not None:
-            self.deduplicated += 1
             return existing, True
         if self.admitted_depth() >= self.max_pending:
-            self.rejected += 1
             raise QueueFull(self.admitted_depth(), self.max_pending)
         record = JobRecord(
             job, client=client, priority=priority, fingerprint=fingerprint,
@@ -392,7 +383,6 @@ class JobQueue:
         self._records[record.id] = record
         self._by_fingerprint[fingerprint] = record
         self._push(record)
-        self.submitted += 1
         self._trim_history()
         return record, False
 
@@ -417,7 +407,6 @@ class JobQueue:
         record.finish(payload, from_cache=True)
         self._records[record.id] = record
         self._by_fingerprint[record.fingerprint] = record
-        self.submitted += 1
         self._trim_history()
         return record
 

@@ -4,27 +4,24 @@
 a :class:`~repro.server.queue.JobRecord`, re-checks the shared
 :class:`~repro.service.cache.ResultCache` (a duplicate submitted while its twin was
 running finishes here without recomputing), and otherwise ships the job's dict payload
-to :func:`repro.service.executor._execute_one` — the *same* worker entry point the
-offline :class:`~repro.service.BatchTranspiler` uses — inside a
-``concurrent.futures`` pool via ``loop.run_in_executor``, so transpilation never blocks
-the event loop and server results are bit-identical to the batch path for the same
-fingerprint.
+to the :class:`~repro.service.executor.WorkerPool` the offline
+:class:`~repro.service.BatchTranspiler` runs on too, awaiting its future, so
+transpilation never blocks the event loop and server results are bit-identical to the
+batch path for the same fingerprint.  The pool owns the dead-worker policy: a killed
+worker costs the jobs then running one rerun on a replacement pool, never a later job.
 
-The pool is processes by default (CPU-bound passes), falling back to threads when
-process pools are unavailable (the same degradation the batch executor implements);
-``use_processes=False`` forces threads, which tests and the in-process example use to
-avoid fork costs.  Shutdown is graceful: ``stop()`` lets in-flight jobs finish (bounded
-by ``timeout``), cancels the dispatcher tasks, and tears the pool down.
+``use_processes=False`` asks the pool for threads, which tests and the in-process
+example use to avoid fork costs.  Shutdown is graceful: ``stop()`` lets in-flight jobs
+finish (bounded by ``timeout``), cancels the dispatcher tasks, and tears the pool down.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Dict, List, Optional
 
 from ..service.cache import ResultCache
-from ..service.executor import _execute_one, default_worker_count
+from ..service.executor import WorkerPool, default_worker_count
 from ..service.jobs import JobError
 from .metrics import ServerMetrics
 from .queue import JobQueue, JobRecord
@@ -51,8 +48,7 @@ class JobRunner:
         #: submissions without ever running them (tests use this to pin jobs in QUEUED).
         self.concurrency = self.max_workers if concurrency is None else max(0, concurrency)
         self.use_processes = use_processes
-        self._pool: Optional[Executor] = None
-        self._pool_kind = "none"
+        self._pool: Optional[WorkerPool] = None
         self._tasks: List[asyncio.Task] = []
         self._started = False
 
@@ -64,23 +60,10 @@ class JobRunner:
             return
         self._started = True
         if self.concurrency > 0:
-            self._pool = self._make_pool()
+            self._pool = WorkerPool(self.max_workers, not self.use_processes)
         loop = asyncio.get_running_loop()
         for index in range(self.concurrency):
             self._tasks.append(loop.create_task(self._dispatch_loop(), name=f"repro-worker-{index}"))
-
-    def _make_pool(self) -> Executor:
-        if self.use_processes:
-            try:
-                pool = ProcessPoolExecutor(max_workers=self.max_workers)
-                self._pool_kind = "process"
-                return pool
-            except (OSError, PermissionError, RuntimeError):
-                pass  # fork disallowed in this environment — degrade to threads
-        self._pool_kind = "thread"
-        return ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="repro-transpile"
-        )
 
     async def stop(self, *, drain: bool = True, timeout: float = 30.0) -> None:
         """Stop dispatching: optionally wait for in-flight jobs, then tear down."""
@@ -99,14 +82,14 @@ class JobRunner:
         # No dispatcher will ever pop the backlog now — settle it so waiters wake up.
         self.queue.fail_pending("server shut down before the job started")
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(False)
             self._pool = None
         self._started = False
 
     @property
     def pool_kind(self) -> str:
         """``"process"``, ``"thread"``, or ``"none"`` — what executes the jobs."""
-        return self._pool_kind
+        return "none" if self._pool is None else self._pool.kind
 
     # -- dispatch -------------------------------------------------------------
 
@@ -159,9 +142,7 @@ class JobRunner:
         trace_ctx = None
         if record.trace_ctx is not None:
             trace_ctx = {"trace_id": record.trace_id, "parent_id": record.server_span_id}
-        raw = await loop.run_in_executor(
-            self._pool, _execute_one, record.job.to_dict(), trace_ctx
-        )
+        raw = await asyncio.wrap_future(self._pool.submit(record.job.to_dict(), trace_ctx))
         # Publish to the cache BEFORE settling the record: a client released by its
         # long-poll may resubmit the same fingerprint immediately, and that submission
         # must find the cache entry already in place.  ``raw["result"]`` is trace-free

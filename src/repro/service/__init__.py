@@ -7,8 +7,8 @@ the execution services real transpiler stacks ship above their circuit compilers
   deterministic content fingerprint.
 * :class:`ResultCache` / :class:`CacheStats` — content-addressed result cache (in-memory
   LRU plus optional on-disk JSON store).
-* :class:`BatchTranspiler` — fans job batches across a process pool with chunking,
-  per-job error capture and progress callbacks.
+* :class:`BatchTranspiler` — fans job batches across the worker pool it shares with the
+  server, with per-job error capture, dead-worker reruns and progress callbacks.
 * ``python -m repro`` (:mod:`repro.service.cli`) — command-line front end that regenerates
   the paper's artifacts through the batch executor.
 """

@@ -1,7 +1,7 @@
-"""Parallel batch executor for transpile jobs.
+"""Parallel batch executor for transpile jobs, and the one worker pool jobs run on.
 
 :class:`BatchTranspiler` fans a list of :class:`~repro.service.jobs.TranspileJob` specs
-across a ``concurrent.futures`` process pool:
+across a :class:`WorkerPool`, which the server's job runner runs on too:
 
 * **Content-addressed caching** — every job is looked up in a :class:`ResultCache` by its
   fingerprint before any work is scheduled; duplicate jobs inside one batch execute once.
@@ -9,21 +9,26 @@ across a ``concurrent.futures`` process pool:
   :class:`JobOutcome`; it never kills the batch or the pool.
 * **Determinism** — jobs carry their own seeds and workers share no state, so a parallel
   run is bit-identical to a serial run of the same batch.
-* **Chunking** — misses are submitted in chunks to amortise process round trips; results
-  stream back to an optional progress callback as chunks complete.
+* **Dead workers** — at most one job per worker is in flight, so a worker that dies takes
+  down only the jobs then running; :class:`WorkerPool` reruns each once on a new pool.
 
-Workers exchange only JSON-safe payloads (the :meth:`TranspileResult.to_dict` form), which
-is also exactly what the cache stores — one representation end to end.
+Workers exchange only JSON-safe payloads (the :meth:`TranspileResult.to_dict` form),
+which is also exactly what the cache stores — one representation end to end.
 """
 
 from __future__ import annotations
 
-import math
 import os
+import signal
+import threading
 import traceback
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import islice
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.pipeline import TranspileResult
 from ..obs.tracer import Tracer, use_tracer
@@ -76,9 +81,111 @@ def _execute_one(payload: Dict, trace_ctx: Optional[Dict] = None) -> Dict:
         return raw
 
 
-def _execute_chunk(payloads: List[Dict]) -> List[Dict]:
-    """Worker entry point: run a chunk of job dicts serially inside one process."""
-    return [_execute_one(payload) for payload in payloads]
+def _fail(outer: Future, payload: Dict, exc_type: str, message: str) -> None:
+    """Settle ``outer`` with the error record of a job that no worker process finished."""
+    if outer.set_running_or_notify_cancel():  # False: its caller stopped waiting for it
+        job = TranspileJob.from_dict(payload)
+        error = JobError(job.fingerprint(), job.name, exc_type, message)
+        outer.set_result({"ok": False, "error": error.to_dict()})
+
+
+def _forget_parent_signals() -> None:
+    """Pool worker start-up: under an asyncio server a forked worker shares the server's
+    signal wakeup descriptor and SIGTERM handler, so the SIGTERM a broken pool sends the
+    workers it has left would not stop them and would shut the server down instead."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+class WorkerPool:
+    """The pool that runs :func:`_execute_one` for the batch executor and the server.
+
+    Jobs run in worker processes (started by ``fork`` on Linux: a fresh interpreter would
+    add about 0.2 s to every worker start), or in threads when the caller asks or no
+    process pool can be created at start; :attr:`kind` says which.  A process pool broken
+    by a dead worker is replaced once, by whichever thread sees the break first, and each
+    job that was on it runs once more on the replacement.  A job whose second pool breaks
+    too settles as a ``WorkerCrashed`` error record, and one that no pool could take (no
+    worker could start) as the error that stopped it; error records are never cached.
+    """
+
+    def __init__(self, max_workers: int, threads: bool) -> None:
+        self.max_workers = max_workers
+        self.kind = "thread" if threads else "process"
+        self._lock = threading.Lock()
+        try:
+            self._pool: Optional[Executor] = self._new_pool()
+        except (OSError, RuntimeError):  # e.g. no working POSIX semaphores here
+            self.kind = "thread"
+            self._pool = self._new_pool()
+
+    def _new_pool(self) -> Executor:
+        if self.kind == "thread":
+            return ThreadPoolExecutor(self.max_workers, thread_name_prefix="repro-transpile")
+        return ProcessPoolExecutor(self.max_workers, initializer=_forget_parent_signals)
+
+    def submit(self, payload: Dict, trace_ctx: Optional[Dict]) -> Future:
+        """Run one job dict; the future resolves to :func:`_execute_one`'s record and never
+        to a broken-pool error."""
+        outer: Future = Future()
+        self._attempt(outer, payload, trace_ctx, None)
+        return outer
+
+    def shutdown(self, wait: bool) -> None:
+        """Stop taking jobs and cancel the queued ones; ``wait`` waits for the running ones."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        pool.shutdown(wait=wait, cancel_futures=True)
+
+    def _attempt(
+        self, outer: Future, payload: Dict, trace_ctx: Optional[Dict], broken: Optional[Executor]
+    ) -> None:
+        # ``broken``: the pool the job's first attempt died on, replaced before anything is
+        # submitted and never called (on Python 3.12+ its manager thread, which runs this,
+        # holds its lock).  Errors settle the job here: a callback's exception is dropped.
+        try:
+            pool = self._pool if broken is None else self._replace(broken)
+            while pool is not None:
+                try:
+                    inner = pool.submit(_execute_one, payload, trace_ctx)
+                except BrokenProcessPool:  # it broke before this job reached it
+                    pool = self._replace(pool)
+                else:
+                    done = partial(self._done, pool, outer, payload, trace_ctx, broken is not None)
+                    return inner.add_done_callback(done)
+        except Exception as exc:  # noqa: BLE001 - e.g. no worker process could start
+            return _fail(outer, payload, type(exc).__name__, str(exc))
+        outer.cancel()  # the pool was shut down
+
+    def _replace(self, broken: Executor) -> Optional[Executor]:
+        with self._lock:
+            if self._pool is broken:
+                pool = self._new_pool()
+                # A thread holds the broken pool until its manager thread exits.  That
+                # thread drops the last job that refers to the pool, and on Python 3.12+
+                # freeing the pool there deadlocks it on the pool's own lock.
+                threading.Thread(target=broken.shutdown, daemon=True).start()
+                self._pool = pool
+            return self._pool
+
+    def _done(
+        self, pool: Executor, outer: Future, payload: Dict, trace_ctx: Optional[Dict],
+        retried: bool, inner: Future,
+    ) -> None:
+        # On a break this runs on the broken pool's manager thread: nothing here may block.
+        error = None if inner.cancelled() else inner.exception()
+        if inner.cancelled():
+            outer.cancel()
+        elif isinstance(error, BrokenProcessPool) and not retried:
+            self._attempt(outer, payload, trace_ctx, pool)
+        elif isinstance(error, BrokenProcessPool):
+            message = "a worker process died running this job, on two pools in a row"
+            _fail(outer, payload, "WorkerCrashed", message)
+        elif outer.set_running_or_notify_cancel():  # False: its caller stopped waiting
+            if error is None:
+                outer.set_result(inner.result())
+            else:
+                outer.set_exception(error)
 
 
 def default_worker_count() -> int:
@@ -97,8 +204,6 @@ class BatchTranspiler:
     cache:
         Optional shared :class:`ResultCache`.  When omitted a private in-memory cache is
         created, so repeated jobs inside and across batches of this executor still hit.
-    chunksize:
-        Jobs per worker task.  ``None`` auto-sizes to about four chunks per worker.
     """
 
     def __init__(
@@ -106,11 +211,9 @@ class BatchTranspiler:
         max_workers: Optional[int] = None,
         *,
         cache: Optional[ResultCache] = None,
-        chunksize: Optional[int] = None,
     ) -> None:
         self.max_workers = default_worker_count() if max_workers is None else max(1, max_workers)
         self.cache = cache if cache is not None else ResultCache()
-        self.chunksize = chunksize
 
     # ------------------------------------------------------------------
 
@@ -137,6 +240,12 @@ class BatchTranspiler:
             if progress is not None:
                 progress(done, total, outcome)
 
+        def executed(fingerprint: str, raw: Dict) -> None:
+            if raw.get("ok", False):
+                self.cache.put(fingerprint, raw["result"])
+            for index in pending[fingerprint]:
+                settle(index, self._outcome_from_payload(jobs[index], fingerprint, raw, False))
+
         # Phase 1: resolve cache hits and dedupe identical jobs within the batch.
         pending: Dict[str, List[int]] = {}
         for index, job in enumerate(jobs):
@@ -148,15 +257,11 @@ class BatchTranspiler:
                 pending.setdefault(fingerprint, []).append(index)
 
         # Phase 2: execute the unique misses (parallel when it pays off).
-        unique = list(pending)
-        if unique:
-            miss_jobs = [jobs[pending[fp][0]] for fp in unique]
-            if self.max_workers <= 1 or len(unique) == 1:
-                for fingerprint, job in zip(unique, miss_jobs):
-                    raw = _execute_one(job.to_dict())
-                    self._settle_executed(jobs, pending, {fingerprint: raw}, settle)
-            else:
-                self._run_parallel(jobs, pending, unique, miss_jobs, settle)
+        if self.max_workers <= 1 or len(pending) == 1:
+            for fingerprint, indices in pending.items():
+                executed(fingerprint, _execute_one(jobs[indices[0]].to_dict()))
+        elif pending:
+            self._run_parallel(jobs, pending, executed)
         missing = [i for i, o in enumerate(outcomes) if o is None]
         assert not missing, f"executor lost outcomes for job indices {missing}"
         return outcomes  # type: ignore[return-value]
@@ -193,73 +298,31 @@ class BatchTranspiler:
             error=JobError.from_dict(raw["error"]),
         )
 
-    def _settle_executed(
-        self,
-        jobs: Sequence[TranspileJob],
-        pending: Dict[str, List[int]],
-        executed: Dict[str, Dict],
-        settle: Callable[[int, JobOutcome], None],
-    ) -> None:
-        for fingerprint, raw in executed.items():
-            if raw.get("ok", False):
-                self.cache.put(fingerprint, raw["result"])
-            for index in pending[fingerprint]:
-                settle(index, self._outcome_from_payload(jobs[index], fingerprint, raw, False))
-
     def _run_parallel(
-        self,
-        jobs: Sequence[TranspileJob],
-        pending: Dict[str, List[int]],
-        unique: List[str],
-        miss_jobs: List[TranspileJob],
-        settle: Callable[[int, JobOutcome], None],
+        self, jobs: Sequence[TranspileJob], pending: Dict[str, List[int]],
+        executed: Callable[[str, Dict], None],
     ) -> None:
-        workers = min(self.max_workers, len(unique))
-        chunksize = self.chunksize or max(1, math.ceil(len(unique) / (workers * 4)))
-        chunks: List[Tuple[List[str], List[Dict]]] = []
-        for start in range(0, len(unique), chunksize):
-            fps = unique[start : start + chunksize]
-            chunks.append((fps, [job.to_dict() for job in miss_jobs[start : start + chunksize]]))
-
-        def settle_chunk(executed: Dict[str, Dict]) -> None:
-            self._settle_executed(jobs, pending, executed, settle)
-
-        def run_serially(fps: List[str]) -> List[Dict]:
-            return [_execute_one(jobs[pending[fp][0]].to_dict()) for fp in fps]
-
-        # Only pool mechanics live inside try blocks: an exception raised by settlement
-        # (a user progress callback, result deserialization) must propagate, not be
-        # mistaken for a pool failure and trigger double-settling serial re-execution.
+        """Run the misses on a :class:`WorkerPool`, at most one job per worker in flight."""
+        workers = min(self.max_workers, len(pending))
+        misses = iter(pending)
+        running: Dict[Future, str] = {}
+        finished: Dict[Future, str] = {}
+        pool = WorkerPool(workers, False)
         try:
-            pool = ProcessPoolExecutor(max_workers=workers)
-        except (OSError, PermissionError, RuntimeError):
-            # Pool creation failed (fork disallowed, ...): run the whole batch in-process.
-            for fingerprint in unique:
-                settle_chunk({fingerprint: run_serially([fingerprint])[0]})
-            return
-
-        with pool:
-            try:
-                future_to_fps = {
-                    pool.submit(_execute_chunk, payloads): fps for fps, payloads in chunks
-                }
-            except RuntimeError:
-                # Pool broke during submission; fall back serially for everything.
-                for fingerprint in unique:
-                    settle_chunk({fingerprint: run_serially([fingerprint])[0]})
-                return
-            not_done = set(future_to_fps)
-            while not_done:
-                finished, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    fps = future_to_fps[future]
-                    try:
-                        raw_list = future.result()
-                    except Exception:  # noqa: BLE001 - BrokenProcessPool and kin
-                        # Per-job exceptions never surface here (workers return
-                        # structured errors); this is the pool dying under the chunk.
-                        raw_list = run_serially(fps)
-                    settle_chunk(dict(zip(fps, raw_list)))
+            while True:
+                for fingerprint in islice(misses, workers - len(running)):
+                    payload = jobs[pending[fingerprint][0]].to_dict()
+                    running[pool.submit(payload, None)] = fingerprint
+                # Refill before settling: the workers run on through the result decode,
+                # the cache write and the progress callback.
+                for future, fingerprint in finished.items():
+                    executed(fingerprint, future.result())
+                if not running:
+                    return
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                finished = {future: running.pop(future) for future in done}
+        finally:
+            pool.shutdown(True)
 
 
 def transpile_batch(

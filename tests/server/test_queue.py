@@ -42,7 +42,6 @@ class TestSubmission:
             assert resubmitted
             assert second is first
             assert queue.pending_count() == 1
-            assert queue.deduplicated == 1
 
         run(scenario())
 
@@ -63,7 +62,6 @@ class TestSubmission:
             queue.submit(make_job(1))
             with pytest.raises(QueueFull):
                 queue.submit(make_job(2))
-            assert queue.rejected == 1
 
         run(scenario())
 
@@ -228,7 +226,7 @@ class TestEvents:
             record, _ = queue.submit(make_job(0))
 
             async def consume():
-                return [event["state"] async for event in record.stream_events()]
+                return [event["state"] async for event in record.stream_events(60.0)]
 
             consumer = asyncio.create_task(consume())
             await asyncio.sleep(0.01)

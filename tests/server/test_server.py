@@ -233,6 +233,41 @@ class TestBackpressureAndCancellation:
         assert headers.get("Retry-After") == "1"
         assert json.loads(body)["error"]["queue_bound"] == 2
 
+    def test_duplicates_and_429s_are_counted(self, frozen):
+        """A duplicate moves repro_jobs_deduplicated_total by one and a 429 moves
+        repro_jobs_rejected_total by the queue slots it asked for, job or batch."""
+        client = frozen.client(max_retries=0)
+        target = linear_target()
+        jobs = [
+            TranspileJob.from_circuit(
+                small_circuit(), target, TranspileOptions(routing="sabre", seed=seed + 90)
+            )
+            for seed in range(5)
+        ]
+
+        def counters():
+            text = client.metrics_text()
+            return (
+                parse_metric(text, "repro_jobs_deduplicated_total"),
+                parse_metric(text, "repro_jobs_rejected_total"),
+            )
+
+        client.submit_job(jobs[0])
+        deduplicated, rejected = counters()
+        client.submit_job(jobs[0])
+        assert counters() == (deduplicated + 1, rejected)
+        client.submit_batch(jobs[:1])
+        assert counters() == (deduplicated + 2, rejected)
+        client.submit_job(jobs[1])  # the queue bound is 2: the queue is now full
+        with pytest.raises(ServerError) as excinfo:
+            client.submit_job(jobs[2])
+        assert excinfo.value.status == 429
+        assert counters() == (deduplicated + 2, rejected + 1)
+        with pytest.raises(ServerError) as excinfo:
+            client.submit_batch(jobs[2:])
+        assert excinfo.value.status == 429
+        assert counters() == (deduplicated + 2, rejected + 4)
+
     def test_cancel_queued_job(self, frozen):
         client = frozen.client()
         handle = client.submit(

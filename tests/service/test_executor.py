@@ -39,7 +39,7 @@ class TestDeterminism:
         """Regression: fixed seeds must give the same circuits serial vs parallel."""
         jobs = batch_jobs()
         serial = BatchTranspiler(max_workers=1).run(jobs)
-        parallel = BatchTranspiler(max_workers=2, chunksize=1).run(jobs)
+        parallel = BatchTranspiler(max_workers=2).run(jobs)
         assert all(o.ok for o in serial + parallel)
         assert metrics(serial) == metrics(parallel)
 
@@ -152,8 +152,8 @@ class TestProgressAndHelpers:
         assert all(entry[1] == len(jobs) for entry in seen)
 
     def test_progress_callback_exception_propagates(self):
-        """A raising callback is the caller's bug: it must surface, not be swallowed
-        by the pool-failure fallback (which would re-execute and double-settle)."""
+        """A raising callback is the caller's bug: it must surface, never be taken for a
+        pool failure (which would re-execute and double-settle)."""
         jobs = batch_jobs(seeds=(0,))
 
         def bad_callback(done, total, outcome):
