@@ -64,7 +64,8 @@ class Instruction:
         return len(self.qubits)
 
     def copy(self) -> "Instruction":
-        return Instruction(self.gate.copy(), self.qubits, self.clbits)
+        """The instruction itself: instructions and their gates are immutable."""
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{self.gate!r} @ {self.qubits}"
@@ -270,28 +271,7 @@ class QuantumCircuit:
         Barriers synchronise the wires they touch but do not count as a layer, matching the
         Qiskit depth definition used by the paper's Table II.
         """
-        qubit_level = [0] * self.num_qubits
-        clbit_level = [0] * self.num_clbits
-        depth = 0
-        for inst in self.data:
-            start = 0
-            for q in inst.qubits:
-                wire_level = qubit_level[q]
-                if wire_level > start:
-                    start = wire_level
-            for c in inst.clbits:
-                wire_level = clbit_level[c]
-                if wire_level > start:
-                    start = wire_level
-            if inst.name != "barrier" and not (two_qubit_only and len(inst.qubits) < 2):
-                start += 1
-            for q in inst.qubits:
-                qubit_level[q] = start
-            for c in inst.clbits:
-                clbit_level[c] = start
-            if start > depth:
-                depth = start
-        return depth
+        return ops_depth(self.data, self.num_qubits, self.num_clbits, two_qubit_only)
 
     def two_qubit_pairs(self) -> List[Tuple[int, int]]:
         """Ordered list of qubit pairs touched by each two-qubit gate."""
@@ -316,7 +296,7 @@ class QuantumCircuit:
 
     def copy(self, name: Optional[str] = None) -> "QuantumCircuit":
         out = QuantumCircuit(self.num_qubits, self.num_clbits, name or self.name)
-        out.data = [inst.copy() for inst in self.data]
+        out.data = list(self.data)
         out.metadata = dict(self.metadata)
         return out
 
@@ -350,7 +330,7 @@ class QuantumCircuit:
             if inst.name == "barrier":
                 out.barrier(*mapped)
             else:
-                out.append(inst.gate.copy(), mapped, inst.clbits)
+                out.append(inst.gate, mapped, inst.clbits)
         return out
 
     def remap_qubits(self, mapping: Dict[int, int], num_qubits: Optional[int] = None) -> "QuantumCircuit":
@@ -363,33 +343,21 @@ class QuantumCircuit:
             if inst.name == "barrier":
                 out.barrier(*mapped)
             else:
-                out.append(inst.gate.copy(), mapped, inst.clbits)
+                out.append(inst.gate, mapped, inst.clbits)
         return out
-
-    def to_dag(self):
-        """DAG view of the circuit (the transpiler's canonical IR).
-
-        This conversion and :meth:`DAGCircuit.to_circuit` form the only circuit<->DAG
-        boundary of the pass framework: ``PassManager.run`` converts exactly once on entry
-        and once on exit, and every pass in between is DAG-in/DAG-out.
-        """
-        from .dag import DAGCircuit
-
-        return DAGCircuit.from_circuit(self)
 
     def without_directives(self) -> "QuantumCircuit":
         """Copy with measurements, resets and barriers removed (unitary part only)."""
         out = self.copy_empty()
         for inst in self.data:
             if inst.gate.is_unitary and inst.name != "barrier":
-                out.append(inst.gate.copy(), inst.qubits)
+                out.append(inst.gate, inst.qubits)
         return out
 
     def reverse_ops(self) -> "QuantumCircuit":
         """Circuit with the instruction order reversed (used by reverse-traversal layout)."""
         out = self.copy_empty(f"{self.name}_rev")
-        for inst in reversed(self.data):
-            out.data.append(inst.copy())
+        out.data = self.data[::-1]
         return out
 
     # ------------------------------------------------------------------
@@ -417,6 +385,38 @@ class QuantumCircuit:
             f"QuantumCircuit(name={self.name!r}, qubits={self.num_qubits}, "
             f"ops={len(self.data)}, cx={self.cx_count()})"
         )
+
+
+def ops_depth(
+    ops: Iterable, num_qubits: int, num_clbits: int, two_qubit_only: bool = False
+) -> int:
+    """Depth of a sequence of operations, as :meth:`QuantumCircuit.depth` defines it.
+
+    ``ops`` is anything with ``name``/``qubits``/``clbits`` (instructions or the nodes
+    of a :class:`~repro.circuit.dag.DAGCircuit`), in a topological order.
+    """
+    qubit_level = [0] * num_qubits
+    clbit_level = [0] * num_clbits
+    depth = 0
+    for inst in ops:
+        start = 0
+        for q in inst.qubits:
+            wire_level = qubit_level[q]
+            if wire_level > start:
+                start = wire_level
+        for c in inst.clbits:
+            wire_level = clbit_level[c]
+            if wire_level > start:
+                start = wire_level
+        if inst.name != "barrier" and not (two_qubit_only and len(inst.qubits) < 2):
+            start += 1
+        for q in inst.qubits:
+            qubit_level[q] = start
+        for c in inst.clbits:
+            clbit_level[c] = start
+        if start > depth:
+            depth = start
+    return depth
 
 
 def expand_gate_matrix(

@@ -64,6 +64,26 @@ class DAGNode:
         return f"DAGNode({self.node_id}, {self.gate.name}, {self.qubits})"
 
 
+class FrontierNode(DAGNode):
+    """A :class:`StreamingDAG` node.
+
+    Its gate never changes, so :meth:`is_two_qubit` is computed once, at admission, into
+    :attr:`two_qubit`: the routers' front filter and executability check and
+    :meth:`StreamingDAG.lookahead` read the flag on every step.
+    """
+
+    __slots__ = ("two_qubit",)
+
+    def __init__(
+        self, node_id: int, gate: Gate, qubits: Tuple[int, ...], clbits: Tuple[int, ...]
+    ) -> None:
+        super().__init__(node_id, gate, qubits, clbits)
+        self.two_qubit = len(qubits) == 2 and gate.is_unitary
+
+    def is_two_qubit(self) -> bool:
+        return self.two_qubit
+
+
 class DAGCircuit:
     """Dependency DAG over the instructions of a :class:`QuantumCircuit`.
 
@@ -162,9 +182,6 @@ class DAGCircuit:
     def node(self, node_id: int) -> DAGNode:
         return self.nodes[node_id]
 
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self.nodes
-
     def op_nodes(self, name: Optional[str] = None) -> List[DAGNode]:
         """All nodes in linearized (insertion) order, optionally filtered by gate name."""
         if len(self._insertion_order) != len(self.nodes):
@@ -183,9 +200,6 @@ class DAGCircuit:
 
     def predecessors(self, node: DAGNode) -> List[DAGNode]:
         return [self.nodes[i] for i in sorted(self._predecessors[node.node_id]) if i in self.nodes]
-
-    def in_degree(self, node: DAGNode) -> int:
-        return len(self._predecessors[node.node_id])
 
     def front_layer(self) -> List[DAGNode]:
         """Nodes with no unexecuted predecessors (the paper's "executable gates")."""
@@ -378,7 +392,7 @@ class DAGCircuit:
                 circuit.barrier(*node.qubits)
             else:
                 # Every node was validated when it entered the DAG; skip re-validation.
-                data.append(Instruction.trusted(node.gate.copy(), node.qubits, node.clbits))
+                data.append(Instruction.trusted(node.gate, node.qubits, node.clbits))
         return circuit
 
     def count_ops(self) -> Dict[str, int]:
@@ -458,7 +472,7 @@ class StreamingDAG:
         #: Live tail node id per wire; qubit ``q`` is keyed ``q``, clbit ``c`` ``-1 - c``
         #: (integer keys keep admission free of per-wire tuple allocation).
         self._wire_tail: Dict[int, int] = {}
-        self._front: List[DAGNode] = []
+        self._front: List[FrontierNode] = []
         self._next_id = 0
         self._version = 0
         self.admitted = 0
@@ -497,7 +511,7 @@ class StreamingDAG:
                 raise CircuitError(f"qubit {q} out of range")
         nid = self._next_id
         self._next_id = nid + 1
-        node = DAGNode(nid, inst.gate, qubits, inst.clbits)
+        node = FrontierNode(nid, inst.gate, qubits, inst.clbits)
         nodes = self.nodes
         tails = self._wire_tail
         preds: List[int] = []
@@ -532,8 +546,14 @@ class StreamingDAG:
         return self._version
 
     @property
-    def front(self) -> List[DAGNode]:
-        return list(self._front)
+    def front(self) -> List[FrontierNode]:
+        """The executable nodes, in the order they became executable.
+
+        This is the live list, not a copy: :meth:`resolve` removes the resolved node
+        from it and appends the nodes it unlocks, so copy it before resolving while
+        iterating over it.  Do not mutate it.
+        """
+        return self._front
 
     @property
     def front_size(self) -> int:
@@ -581,7 +601,11 @@ class StreamingDAG:
         rather than joining the front later at admission time, which would reorder the
         front layer and change scoring ties downstream.
         """
-        if node not in self._front:
+        front = self._front
+        for index, live in enumerate(front):
+            if live is node:
+                break
+        else:
             raise CircuitError(f"node {node.node_id} is not currently executable")
         nid = node.node_id
         if not self._source_done:
@@ -592,7 +616,8 @@ class StreamingDAG:
                 and any(self._wire_tail.get(wire) == nid for wire in wires)
             ):
                 self._fill_to(min(self.max_live_gates, len(self.nodes) + self.window_gates))
-        self._front.remove(node)
+        # Admission only appends to the front, so ``index`` still locates the node.
+        del front[index]
         self._version += 1
         succs = self._successors.pop(nid)
         del self.nodes[nid]
@@ -604,7 +629,7 @@ class StreamingDAG:
             remaining[sid] -= 1
             if remaining[sid] == 0:
                 succ = self.nodes[sid]
-                self._front.append(succ)
+                front.append(succ)
                 newly.append(succ)
         if not self._source_done:
             self._fill()
@@ -648,7 +673,7 @@ class StreamingDAG:
                 if nid in tails:
                     incomplete = True
                 node = nodes[nid]
-                if not two_qubit_only or node.is_two_qubit():
+                if not two_qubit_only or node.two_qubit:
                     result.append(node)
                 queue.extend(successors[nid])
             if not incomplete or len(nodes) >= self.max_live_gates:

@@ -273,16 +273,25 @@ def _matrix_cache_counters() -> Dict[str, int]:
 COUNTERS.register_provider("cache.gate_matrix", _matrix_cache_counters)
 
 
-@dataclass
+#: Writes a field of a :class:`Gate`, whose own ``__setattr__`` refuses every write.
+#: Setting the fields in one order (rather than through ``__dict__``) keeps the
+#: interpreter's compact shared-key layout for gate instances.
+_set_field = object.__setattr__
+
+
+@dataclass(init=False)
 class Gate:
     """A concrete gate: a named operation with bound parameters.
 
     ``matrix`` is available for every unitary gate.  Gates named ``unitary`` carry an
     explicit matrix (produced by the synthesis passes) instead of a formula.
 
+    Every gate is immutable: attribute assignment raises once it is constructed, and an
+    explicit matrix is held as a private read-only array.  One instance can therefore be
+    shared by any number of instructions, DAG nodes and circuits: :meth:`copy` returns
+    the gate itself, and :meth:`with_label` builds a fresh gate carrying another label.
     Parameterless standard gates built through :func:`gate` are *interned flyweights*:
-    ``gate("x") is gate("x")``.  Interned instances are immutable (attribute assignment
-    raises) and :meth:`copy` returns the instance itself.
+    ``gate("x") is gate("x")``.
     """
 
     name: str
@@ -290,33 +299,39 @@ class Gate:
     _matrix: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     label: Optional[str] = None
 
-    #: Class-level defaults so instances stay mutable during ``__init__``; interned
-    #: singletons flip ``_interned`` (via ``object.__setattr__``) after construction.
-    _interned = False
+    def __init__(
+        self,
+        name: str,
+        params: Sequence[float] = (),
+        matrix: Optional[np.ndarray] = None,
+        label: Optional[str] = None,
+    ) -> None:
+        spec = GATE_SPECS.get(name)
+        if spec is None:
+            raise CircuitError(f"unknown gate '{name}'")
+        params = tuple(float(p) for p in params)
+        if name == "unitary":
+            if matrix is None:
+                raise CircuitError("a 'unitary' gate requires an explicit matrix")
+            matrix = np.array(matrix, dtype=complex)
+            dim = matrix.shape[0]
+            if matrix.shape != (dim, dim) or dim & (dim - 1):
+                raise CircuitError("unitary gate matrix must be square with power-of-two size")
+            matrix.flags.writeable = False
+        elif not spec.is_directive and len(params) != spec.num_params:
+            raise CircuitError(
+                f"gate '{name}' expects {spec.num_params} parameter(s), got {len(params)}"
+            )
+        _set_field(self, "name", name)
+        _set_field(self, "params", params)
+        _set_field(self, "_matrix", matrix)
+        _set_field(self, "label", label)
 
     def __setattr__(self, key: str, value) -> None:
-        if self._interned:
-            raise CircuitError(
-                f"interned gate '{self.name}' is immutable; build a fresh Gate instead"
-            )
-        object.__setattr__(self, key, value)
+        raise CircuitError(f"gate '{self.name}' is immutable; build a fresh Gate instead")
 
-    def __post_init__(self) -> None:
-        if self.name not in GATE_SPECS:
-            raise CircuitError(f"unknown gate '{self.name}'")
-        self.params = tuple(float(p) for p in self.params)
-        spec = GATE_SPECS[self.name]
-        if self.name != "unitary" and not spec.is_directive and len(self.params) != spec.num_params:
-            raise CircuitError(
-                f"gate '{self.name}' expects {spec.num_params} parameter(s), got {len(self.params)}"
-            )
-        if self.name == "unitary":
-            if self._matrix is None:
-                raise CircuitError("a 'unitary' gate requires an explicit matrix")
-            self._matrix = np.asarray(self._matrix, dtype=complex)
-            dim = self._matrix.shape[0]
-            if self._matrix.shape != (dim, dim) or dim & (dim - 1):
-                raise CircuitError("unitary gate matrix must be square with power-of-two size")
+    def __delattr__(self, key: str) -> None:
+        raise CircuitError(f"gate '{self.name}' is immutable; build a fresh Gate instead")
 
     @classmethod
     def trusted(cls, name: str, params: Tuple[float, ...]) -> "Gate":
@@ -324,10 +339,13 @@ class Gate:
 
         Used by the QASM reader, which checks the name and the parameter count itself;
         ``params`` must already be a tuple of floats.  The result equals
-        ``Gate(name, params)``: a fresh, mutable, non-interned instance.
+        ``Gate(name, params)``: a fresh, non-interned instance.
         """
         instance = object.__new__(cls)
-        instance.__dict__.update(name=name, params=params, _matrix=None, label=None)
+        _set_field(instance, "name", name)
+        _set_field(instance, "params", params)
+        _set_field(instance, "_matrix", None)
+        _set_field(instance, "label", None)
         return instance
 
     # -- basic properties ---------------------------------------------------
@@ -353,10 +371,6 @@ class Gate:
         return self.name not in _DIRECTIVE_NAMES
 
     @property
-    def is_self_inverse(self) -> bool:
-        return self.name in SELF_INVERSE_GATES
-
-    @property
     def cache_token(self) -> Tuple[str, Tuple[float, ...]]:
         """Stable identity key for memoisation tables keyed on gate content.
 
@@ -369,7 +383,7 @@ class Gate:
             if self.name == "unitary":
                 raise CircuitError("explicit-matrix 'unitary' gates have no cache token")
             token = (self.name, self.params)
-            object.__setattr__(self, "_token", token)
+            _set_field(self, "_token", token)
         return token
 
     # -- matrices and inverses ----------------------------------------------
@@ -407,20 +421,12 @@ class Gate:
         raise CircuitError(f"no inverse rule for gate '{self.name}'")
 
     def copy(self) -> "Gate":
-        if self._interned:
-            # Flyweights are immutable, so sharing the instance is always safe.
-            return self
-        mat = None if self._matrix is None else self._matrix.copy()
-        return Gate(self.name, self.params, mat, self.label)
+        """The gate itself: gates are immutable, so sharing one is always safe."""
+        return self
 
     def with_label(self, label: Optional[str]) -> "Gate":
-        """A fresh (non-interned) instance of this gate carrying ``label``.
-
-        The replacement for mutating ``gate.label`` in place, which interned flyweights
-        forbid.
-        """
-        mat = None if self._matrix is None else self._matrix.copy()
-        return Gate(self.name, self.params, mat, label)
+        """A fresh (non-interned) instance of this gate carrying ``label``."""
+        return Gate(self.name, self.params, self._matrix, label)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         if self.params:
@@ -439,8 +445,7 @@ def _intern(name: str) -> Gate:
     instance = _INTERNED_GATES.get(name)
     if instance is None:
         instance = Gate(name, ())
-        instance.cache_token  # materialise the memo key while still mutable
-        object.__setattr__(instance, "_interned", True)
+        instance.cache_token  # materialise the memo key once for every user
         _INTERNED_GATES[name] = instance
     return instance
 
@@ -448,9 +453,8 @@ def _intern(name: str) -> Gate:
 def gate(name: str, *params: float) -> Gate:
     """Build a standard gate by name, e.g. ``gate('rz', 0.5)``.
 
-    Parameterless gates are interned: ``gate('x') is gate('x')``.  The returned flyweight
-    is immutable; construct ``Gate(name, (), None, label)`` directly when a labelled
-    (mutable) instance is needed.
+    Parameterless gates are interned: ``gate('x') is gate('x')``; use
+    :meth:`Gate.with_label` for a labelled instance.
     """
     if not params and name != "unitary" and name in GATE_SPECS:
         return _intern(name)
@@ -459,9 +463,4 @@ def gate(name: str, *params: float) -> Gate:
 
 def unitary_gate(matrix: np.ndarray, label: Optional[str] = None) -> Gate:
     """Build an explicit-matrix gate (used by the re-synthesis passes)."""
-    return Gate("unitary", (), np.asarray(matrix, dtype=complex), label)
-
-
-def standard_gate_names() -> Tuple[str, ...]:
-    """Names of all built-in gates."""
-    return tuple(GATE_SPECS)
+    return Gate("unitary", (), matrix, label)

@@ -53,6 +53,10 @@ class NASSCSwapRouter(SabreSwapRouter):
 
     pass_name = "NASSCRouting"
 
+    #: The C2q/Ccommute estimators scan the routed prefix, so every run records it,
+    #: layout sweeps included.
+    scores_routed_prefix = True
+
     def __init__(
         self, coupling_map: CouplingMap, *, config: Optional[NASSCConfig] = None, **kwargs
     ) -> None:
@@ -90,7 +94,8 @@ class NASSCSwapRouter(SabreSwapRouter):
         # appending strictly increasing positions, so an unchanged tail position per wire
         # proves both histories — and hence the estimate — are unchanged since the last
         # SWAP insertion.  That makes the cross-round memo below exact, not heuristic.
-        history = self._wire_history
+        out = self._out
+        history = out.wire_history
         p0, p1 = swap
         h0, h1 = history[p0], history[p1]
         tail0 = h0[-1] if h0 else -1
@@ -101,10 +106,10 @@ class NASSCSwapRouter(SabreSwapRouter):
         else:
             COUNTERS.inc("routing.nassc.estimates")
             config = self.config
-            # ``self._out`` is the run's output sink: the estimators scan the resolved
-            # layer through its position-keyed ``data``.
+            # ``out`` is the run's routed prefix: the estimators scan the resolved layer
+            # through its position-keyed ``data``.
             estimate = self._estimator.estimate(
-                self._out,
+                out,
                 history,
                 p0,
                 p1,

@@ -37,7 +37,7 @@ class CommuteSingleQubitsThroughSwap(TransformationPass):
             return index
 
         for node in dag.op_nodes():
-            inst = Instruction(node.gate.copy(), node.qubits, node.clbits)
+            inst = Instruction(node.gate, node.qubits, node.clbits)
             if inst.name != "swap":
                 append(inst)
                 continue
@@ -56,7 +56,7 @@ class CommuteSingleQubitsThroughSwap(TransformationPass):
                         or prev.name == "barrier"
                     ):
                         break
-                    collected.append(Instruction(prev.gate.copy(), (destination,)))
+                    collected.append(Instruction(prev.gate, (destination,)))
                     output[prev_index] = None
                     history.pop()
                 # The walk collected gates from latest to earliest; restore circuit order.

@@ -156,10 +156,6 @@ class CouplingMap:
             frontier = next_frontier
         raise CouplingError(f"no path between qubits {a} and {b}")
 
-    def subgraph_is_valid_for(self, num_circuit_qubits: int) -> bool:
-        """True if a circuit with ``num_circuit_qubits`` logical qubits fits on the device."""
-        return num_circuit_qubits <= self.num_qubits
-
     # ------------------------------------------------------------------
 
     def to_dict(self) -> Dict:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import time
 from contextvars import ContextVar
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 #: Total spans ever started in this process.  The no-op overhead contract test asserts
 #: this does not move during an untraced ``transpile()`` — a counter-based (CI-stable)
@@ -309,9 +309,3 @@ def _reset_env_tracer_for_tests() -> None:
     _env_tracer = _ENV_UNRESOLVED
 
 
-def iter_roots(spans: List[Span]) -> Iterator[Span]:
-    """Yield spans whose parent is absent from the given list (tree roots)."""
-    known = {span.span_id for span in spans}
-    for span in spans:
-        if span.parent_id is None or span.parent_id not in known:
-            yield span

@@ -74,7 +74,7 @@ class NoisySimulator:
             if inst.name == "barrier":
                 noisy.barrier(*inst.qubits)
                 continue
-            noisy.append(inst.gate.copy(), inst.qubits, inst.clbits)
+            noisy.append(inst.gate, inst.qubits, inst.clbits)
             if inst.name in ("measure", "reset") or not inst.gate.is_unitary:
                 continue
             error = self.noise_model.gate_error(

@@ -50,20 +50,6 @@ def _tensor_cache_counters() -> Dict[str, int]:
 COUNTERS.register_provider("cache.sim_tensor", _tensor_cache_counters)
 
 
-def _apply_gate(state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Apply a k-qubit gate to a statevector (little-endian)."""
-    k = len(qubits)
-    # Reshape into a tensor with axis j <-> qubit (num_qubits - 1 - j).
-    tensor = state.reshape([2] * num_qubits)
-    gate_axes, axes = _tensordot_axes(num_qubits, tuple(qubits))
-    gate_tensor = matrix.reshape([2] * (2 * k))
-    moved = np.tensordot(gate_tensor, tensor, axes=(gate_axes, axes))
-    # tensordot puts the gate's output axes first; move them back to their original positions.
-    # Output axis j corresponds to original state axis axes[j].
-    result = np.moveaxis(moved, list(range(k)), axes)
-    return result.reshape(-1)
-
-
 def _apply_instruction(state: np.ndarray, inst, num_qubits: int) -> np.ndarray:
     """Apply one instruction, serving named gates from the shared tensor cache."""
     gate_obj = inst.gate
@@ -76,6 +62,8 @@ def _apply_instruction(state: np.ndarray, inst, num_qubits: int) -> np.ndarray:
     tensor = state.reshape([2] * num_qubits)
     gate_axes, axes = _tensordot_axes(num_qubits, qubits)
     moved = np.tensordot(gate_tensor, tensor, axes=(gate_axes, axes))
+    # tensordot puts the gate's output axes first; move them back to their original
+    # positions (output axis j corresponds to original state axis axes[j]).
     result = np.moveaxis(moved, list(range(k)), axes)
     return result.reshape(-1)
 
@@ -153,5 +141,5 @@ def active_qubit_subcircuit(
         if inst.name == "barrier":
             reduced.barrier(*qubits)
         else:
-            reduced.append(inst.gate.copy(), qubits, inst.clbits)
+            reduced.append(inst.gate, qubits, inst.clbits)
     return reduced, active

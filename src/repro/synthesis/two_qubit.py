@@ -584,7 +584,7 @@ class TwoQubitSynthesizer:
         self._append_1q(circuit, right_q0, 0)
         self._append_1q(circuit, right_q1, 1)
         for inst in core.data:
-            circuit.append(inst.gate.copy(), inst.qubits)
+            circuit.append(inst.gate, inst.qubits)
         self._append_1q(circuit, left_q0, 0)
         self._append_1q(circuit, left_q1, 1)
 

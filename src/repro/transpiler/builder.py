@@ -79,12 +79,6 @@ class PipelineBuilder:
         self.stages[name] = list(passes)
         return self
 
-    def extend_stage(self, name: str, passes: Sequence[ScheduleItem]) -> "PipelineBuilder":
-        """Append passes to a stage."""
-        self._check_stage(name)
-        self.stages[name].extend(passes)
-        return self
-
     def _check_stage(self, name: str) -> None:
         if name not in self.stages:
             raise TranspilerError(f"unknown stage {name!r}; expected one of {STAGES}")

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..circuit.circuit import ops_depth
 from ..exceptions import TranspilerError
 from ..obs.counters import COUNTERS
 from ..obs.tracer import current_tracer
@@ -99,13 +100,15 @@ def _trial_metrics(
 
     The two-qubit estimate counts each pending SWAP as its worst-case 3 CNOTs —
     strictly increasing in the swap count, which the lossless-pruning argument relies
-    on.  Noise cost sums the routing distance of every routed two-qubit gate (3x for
+    on.  Depth is the routed circuit's, read off the DAG's nodes in linear order.
+    Noise cost sums the routing distance of every routed two-qubit gate (3x for
     SWAPs) and only participates in the key when routing is noise-aware.
     """
     two_qubit = 0
     swaps = 0
     noise_cost = 0.0
-    for node in result.dag.op_nodes():
+    nodes = result.dag.op_nodes()
+    for node in nodes:
         if node.name == "barrier" or not node.gate.is_unitary or len(node.qubits) != 2:
             continue
         if node.name == "swap":
@@ -116,7 +119,8 @@ def _trial_metrics(
             two_qubit += 1
             if noise_aware:
                 noise_cost += float(distance[node.qubits[0], node.qubits[1]])
-    return two_qubit + 3 * swaps, result.circuit.depth(), noise_cost
+    depth = ops_depth(nodes, result.dag.num_qubits, result.dag.num_clbits)
+    return two_qubit + 3 * swaps, depth, noise_cost
 
 
 class EnsembleRouting(TransformationPass):

@@ -130,7 +130,7 @@ class Decompose(TransformationPass):
         mapped: List[Instruction] = []
         for sub in result.circuit.data:
             qubits = tuple(inst.qubits[q] for q in sub.qubits)
-            mapped.append(Instruction(sub.gate.copy(), qubits))
+            mapped.append(Instruction(sub.gate, qubits))
         return mapped
 
     @staticmethod

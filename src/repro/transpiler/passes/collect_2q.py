@@ -21,9 +21,6 @@ class TwoQubitBlock:
     qubits: Tuple[int, int]
     positions: List[int] = field(default_factory=list)
 
-    def two_qubit_gate_count(self) -> int:
-        return len(self.positions)
-
 
 class Collect2qBlocks(AnalysisPass):
     """Identify two-qubit blocks and record them in the property set.

@@ -182,6 +182,6 @@ class ApplyLayout(TransformationPass):
         out.metadata = dict(dag.metadata)
         for node in dag.op_nodes():
             mapped = tuple(mapping[q] for q in node.qubits)
-            out.add_node(node.gate.copy(), mapped, node.clbits)
+            out.add_node(node.gate, mapped, node.clbits)
         property_set["original_num_qubits"] = dag.num_qubits
         return out

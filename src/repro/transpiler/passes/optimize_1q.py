@@ -71,7 +71,7 @@ class Optimize1qGates(TransformationPass):
                 continue
             for q in node.qubits:
                 flush(q)
-            out.add_node(node.gate.copy(), node.qubits, node.clbits)
+            out.add_node(node.gate, node.qubits, node.clbits)
         for q in range(dag.num_qubits):
             flush(q)
         return out

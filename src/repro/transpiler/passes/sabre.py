@@ -14,7 +14,8 @@ each routed operation:
 * :meth:`SabreSwapRouter.route` and ensemble trials admit the whole circuit at once and
   emit into the output :class:`DAGCircuit`;
 * layout-refinement sweeps admit the whole circuit and emit nothing (only the final
-  layout is used);
+  layout is used); they record the routed prefix only when the router's scoring reads
+  it (:attr:`SabreSwapRouter.scores_routed_prefix`);
 * :func:`repro.core.stream.transpile_stream` admits a bounded window and emits routed
   OpenQASM text.
 """
@@ -91,49 +92,51 @@ class _LiteOp:
 
 
 class StreamingOutput:
-    """The routed-output sink: hand each op to ``emit``, retain only the scan tail.
+    """The routed prefix: hand each op to ``emit`` and keep what scoring scans of it.
 
-    Every appended operation is passed to ``emit(position, op)`` (when given) and stored
-    in ``data``, a position-keyed dict — what the NASSC estimators' backward scans
-    index.  Every ``_TRIM_INTERVAL`` appends, positions no longer referenced by any
-    wire-history deque are dropped.  The estimators only look up positions recorded in
-    those deques, so scoring is identical to keeping every op, while the retained set
-    stays bounded by ``num_wires * WIRE_HISTORY_BOUND + _TRIM_INTERVAL`` entries
-    regardless of circuit length.
+    Every appended operation is passed to ``emit(position, op)`` (when given), stored
+    in ``data``, a position-keyed dict, and its position is appended to
+    ``wire_history[p]`` for each of its physical qubits ``p``: the per-wire deques
+    (bounded by :data:`WIRE_HISTORY_BOUND`) that the NASSC estimators' backward scans
+    walk.  Every ``_TRIM_INTERVAL`` appends, positions no longer referenced by any
+    wire history are dropped from ``data``.  The estimators only look up positions
+    recorded in those deques, so scoring is identical to keeping every op, while the
+    retained set stays bounded by ``num_wires * WIRE_HISTORY_BOUND + _TRIM_INTERVAL``
+    entries regardless of circuit length.
     """
 
-    __slots__ = ("data", "_wire_history", "_emit", "_count")
+    __slots__ = ("data", "wire_history", "_emit", "_count")
 
     _TRIM_INTERVAL = 256
 
     def __init__(
-        self,
-        wire_history: Dict[int, Deque[int]],
-        emit: Optional[Callable[[int, _LiteOp], None]] = None,
+        self, num_wires: int, emit: Optional[Callable[[int, _LiteOp], None]] = None
     ) -> None:
-        self._wire_history = wire_history
+        self.wire_history: Dict[int, Deque[int]] = {
+            p: deque(maxlen=WIRE_HISTORY_BOUND) for p in range(num_wires)
+        }
         self._emit = emit
         self.data: Dict[int, _LiteOp] = {}
         self._count = 0
 
-    def append(self, gate: Gate, qubits: Tuple[int, ...], clbits: Tuple[int, ...] = ()) -> None:
+    def append(self, gate: Gate, qubits: Tuple[int, ...], clbits: Tuple[int, ...] = ()) -> int:
+        """Record one routed op; returns its output position."""
         op = _LiteOp(gate, qubits, clbits)
         position = self._count
         self.data[position] = op
         self._count = position + 1
+        history = self.wire_history
+        for p in qubits:
+            history[p].append(position)
         if self._emit is not None:
             self._emit(position, op)
         if self._count % self._TRIM_INTERVAL == 0:
             self._trim()
+        return position
 
     def _trim(self) -> None:
-        # The wire-history entry for the op appended just now is recorded by the router
-        # *after* append() returns, so the newest position is kept unconditionally.
-        live = {pos for history in self._wire_history.values() for pos in history}
-        newest = self._count - 1
-        self.data = {
-            pos: op for pos, op in self.data.items() if pos in live or pos >= newest
-        }
+        live = {pos for history in self.wire_history.values() for pos in history}
+        self.data = {pos: op for pos, op in self.data.items() if pos in live}
 
     def __len__(self) -> int:
         return self._count
@@ -222,7 +225,8 @@ def refine_layout(router, layout, iterations, traversals):
     Each of ``iterations`` rounds routes every frontier of ``traversals`` (see
     :func:`layout_traversals`) in turn, starting from the layout the previous sweep
     ended in.  The sweeps' routed operations are never emitted — only the layout they
-    end in matters.
+    end in matters — so a sweep records its routed prefix only when the router's
+    scoring reads it (:attr:`SabreSwapRouter.scores_routed_prefix`).
     """
     for _ in range(iterations):
         for frontier in traversals:
@@ -241,6 +245,11 @@ class SabreSwapRouter:
 
     #: Name of the :class:`SabreRouting` pass that wraps this router (timing-log key).
     pass_name = "SabreRouting"
+
+    #: Whether scoring reads the routed prefix (the :class:`StreamingOutput`).  A run
+    #: with no ``emit`` records the prefix only when it does: SABRE layout sweeps record
+    #: nothing, NASSC sweeps keep what the estimators scan.
+    scores_routed_prefix = False
 
     #: Number of SWAP insertions without resolving any gate before the safety valve engages.
     _STALL_LIMIT_FACTOR = 10
@@ -312,10 +321,10 @@ class SabreSwapRouter:
         layout = (initial_layout or Layout.trivial(frontier.num_qubits)).copy()
         initial = layout.copy()
         self._reset_routing_memos()
-        self._wire_history: Dict[int, Deque[int]] = {
-            q: deque(maxlen=WIRE_HISTORY_BOUND) for q in range(self.coupling_map.num_qubits)
-        }
-        self._out = out = StreamingOutput(self._wire_history, emit)
+        out: Optional[StreamingOutput] = None
+        if emit is not None or self.scores_routed_prefix:
+            out = StreamingOutput(self.coupling_map.num_qubits, emit)
+        self._out = out
         self._decay = np.ones(self.coupling_map.num_qubits)
 
         swap_labels: Dict[int, str] = {}
@@ -344,7 +353,7 @@ class SabreSwapRouter:
             state = (frontier.version, frontier.front_size)
             if state != front_state:
                 front_state = state
-                front_gates = [n for n in frontier.front if n.is_two_qubit()]
+                front_gates = [n for n in frontier.front if n.two_qubit]
                 if not front_gates:
                     raise TranspilerError(
                         "routing stalled with no two-qubit gate in the front layer"
@@ -371,14 +380,12 @@ class SabreSwapRouter:
                 )
                 swap = self._choose_swap(candidates, scores, rng)
 
-            label = self._swap_label(swap)
-            position = len(out)
-            # The bare swap flyweight is immutable; labelled swaps get a fresh instance.
-            gate_obj = make_gate("swap") if label is None else Gate("swap", (), None, label)
-            out.append(gate_obj, swap)
-            self._record_wire(position, swap)
-            if label:
-                swap_labels[position] = label
+            if out is not None:
+                label = self._swap_label(swap)
+                gate_obj = make_gate("swap") if label is None else Gate("swap", (), None, label)
+                position = out.append(gate_obj, swap)
+                if label:
+                    swap_labels[position] = label
             layout.swap_physical(*swap)
             self._decay[swap[0]] += DECAY_DELTA
             self._decay[swap[1]] += DECAY_DELTA
@@ -403,40 +410,38 @@ class SabreSwapRouter:
     # ------------------------------------------------------------------
 
     def _execute_ready_gates(
-        self, frontier: StreamingDAG, layout: Layout, out: StreamingOutput
+        self, frontier: StreamingDAG, layout: Layout, out: Optional[StreamingOutput]
     ) -> bool:
+        """Run every gate executable under ``layout``; returns whether any ran.
+
+        A gate runs when it is not a two-qubit gate or its qubits sit on a coupling
+        edge; it is resolved and, when the run records its output, appended to ``out``
+        on its physical qubits.  The front is walked once, in order: each gate is
+        checked once, and ``resolve`` appends the gates it unlocks to the front's end,
+        where the walk reaches them after the gates already waiting.  The layout cannot
+        change while gates execute, so a blocked gate stays blocked, and the gates run
+        in the order that rescanning the whole front until nothing runs would give.
+        """
+        front = frontier.front
+        adjacent = self._adjacent
+        l2p = layout.physical_array().tolist()
+        blocked = 0  # the front's first ``blocked`` gates are checked and blocked
         executed_any = False
-        progress = True
-        while progress:
-            progress = False
-            for node in frontier.front:
-                if self._is_executable(node, layout):
-                    self._emit(node, layout, out)
-                    frontier.resolve(node)
-                    progress = True
-                    executed_any = True
+        while blocked < len(front):
+            node = front[blocked]
+            if node.two_qubit:
+                a, b = node.qubits
+                if not adjacent[l2p[a]][l2p[b]]:
+                    blocked += 1
+                    continue
+            if out is not None:
+                clbits = node.clbits
+                if clbits and node.name == "barrier":
+                    clbits = ()  # a barrier is routed on its qubits only
+                out.append(node.gate, tuple([l2p[q] for q in node.qubits]), clbits)
+            frontier.resolve(node)
+            executed_any = True
         return executed_any
-
-    def _is_executable(self, node: DAGNode, layout: Layout) -> bool:
-        if node.name == "barrier" or not node.gate.is_unitary or len(node.qubits) == 1:
-            return True
-        a, b = node.qubits
-        l2p = layout.physical_array()
-        return self._adjacent[l2p[a]][l2p[b]]
-
-    def _emit(self, node: DAGNode, layout: Layout, out: StreamingOutput) -> None:
-        l2p = layout.physical_array()
-        physical = tuple(int(l2p[q]) for q in node.qubits)
-        position = len(out)
-        if node.name == "barrier":
-            out.append(node.gate, physical)
-        else:
-            out.append(node.gate.copy(), physical, node.clbits)
-        self._record_wire(position, physical)
-
-    def _record_wire(self, position: int, physical_qubits: Sequence[int]) -> None:
-        for p in physical_qubits:
-            self._wire_history[p].append(position)
 
     # ------------------------------------------------------------------
     # SWAP selection
@@ -470,10 +475,10 @@ class SabreSwapRouter:
         rng: np.random.Generator,
     ) -> Tuple[int, int]:
         """Tie-broken argmin over the scored candidates (consumes one rng draw)."""
-        best = scores.min()
-        best_indices = np.flatnonzero(scores <= best + 1e-12)
-        choice = int(rng.integers(len(best_indices)))
-        return candidates[int(best_indices[choice])]
+        values = scores.tolist()
+        bound = min(values) + 1e-12
+        ties = [index for index, value in enumerate(values) if value <= bound]
+        return candidates[ties[int(rng.integers(len(ties)))]]
 
     def _score_candidates(
         self,
@@ -525,7 +530,11 @@ class SabreSwapRouter:
         return decay * cost
 
     def _swap_label(self, swap: Tuple[int, int]) -> Optional[str]:
-        """Hook for optimization-aware SWAP decomposition labels (fixed orientation here)."""
+        """Hook: the label of a SWAP being recorded in the routed prefix.
+
+        Optimization-aware SWAP decomposition labels come from here (fixed orientation
+        in SABRE, whose runs without ``emit`` record no prefix and so take no label).
+        """
         return None
 
     def _forced_swap(self, node: DAGNode, layout: Layout) -> Tuple[int, int]:

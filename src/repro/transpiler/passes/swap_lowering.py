@@ -68,7 +68,7 @@ class SwapLowering(TransformationPass):
                     for inst in self._lowering(node):
                         out.add_node(inst.gate, inst.qubits)
                 else:
-                    out.add_node(node.gate.copy(), node.qubits, node.clbits)
+                    out.add_node(node.gate, node.qubits, node.clbits)
             return out
         for node in swaps:
             dag.substitute_node_with_ops(node, self._lowering(node))

@@ -164,7 +164,7 @@ class UnitarySynthesis(TransformationPass):
             if template is None:
                 continue
             mapped = [
-                Instruction(gate.copy(), tuple(pair[q] for q in qubits))
+                Instruction(gate, tuple(pair[q] for q in qubits))
                 for gate, qubits in template
             ]
             # Anchor the replacement at the block's first two-qubit gate: every leading

@@ -2,9 +2,9 @@
 
 Covers the contracts the vectorized hot path relies on: every named gate matrix is
 unitary for arbitrary parameters, ``inverse()`` round-trips to the identity, interning
-returns the same immutable instance, the shared matrix cache serves read-only arrays,
-and content fingerprints are stable across processes (interning must not leak
-process-local state into hashes).
+returns the same instance, every gate is immutable (so ``copy()`` shares it), the shared
+matrix cache serves read-only arrays, and content fingerprints are stable across
+processes (interning must not leak process-local state into hashes).
 """
 
 import math
@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit.gates import GATE_SPECS, Gate, gate
+from repro.circuit.circuit import Instruction
+from repro.circuit.gates import GATE_SPECS, Gate, gate, unitary_gate
 from repro.exceptions import CircuitError
 from repro.synthesis import allclose_up_to_global_phase
 from repro.synthesis.linalg import is_unitary
@@ -75,22 +76,13 @@ class TestFlyweightInterning:
     def test_parametrised_gates_are_not_interned(self):
         assert gate("rz", 0.5) is not gate("rz", 0.5)
 
-    def test_interned_gates_are_immutable(self):
-        g = gate("x")
-        with pytest.raises(CircuitError, match="immutable"):
-            g.label = "boom"
-        with pytest.raises(CircuitError, match="immutable"):
-            g.params = (1.0,)
-
-    def test_interned_copy_returns_self(self):
-        g = gate("cx")
-        assert g.copy() is g
-
-    def test_with_label_returns_fresh_mutable_instance(self):
+    def test_with_label_returns_fresh_instance(self):
         labelled = gate("swap").with_label("ctrl:1")
         assert labelled is not gate("swap")
         assert labelled.label == "ctrl:1"
-        labelled.label = "ctrl:0"  # mutable
+        relabelled = labelled.with_label("ctrl:0")
+        assert relabelled is not labelled
+        assert (labelled.label, relabelled.label) == ("ctrl:1", "ctrl:0")
         assert gate("swap").label is None
 
     def test_cache_token_is_stable_and_shared(self):
@@ -98,6 +90,54 @@ class TestFlyweightInterning:
         assert gate("rz", 0.5).cache_token == ("rz", (0.5,))
         with pytest.raises(CircuitError):
             Gate("unitary", (), np.eye(2)).cache_token
+
+
+#: One gate of every kind a caller can build.
+GATE_KINDS = {
+    "interned": lambda: gate("cx"),
+    "parametrised": lambda: gate("rz", 0.5),
+    "with_label": lambda: gate("swap").with_label("ctrl:1"),
+    "unitary": lambda: unitary_gate(np.eye(4)),
+    "trusted": lambda: Gate.trusted("rz", (0.5,)),
+}
+
+
+class TestImmutableGates:
+    """Every gate rejects attribute assignment once built, so sharing one is safe."""
+
+    @pytest.mark.parametrize("kind", sorted(GATE_KINDS))
+    def test_assignment_raises(self, kind):
+        g = GATE_KINDS[kind]()
+        before = dict(vars(g))
+        for attr, value in (
+            ("name", "x"), ("params", (1.0,)), ("label", "boom"), ("_matrix", None),
+            ("extra", 1),
+        ):
+            with pytest.raises(CircuitError, match="immutable"):
+                setattr(g, attr, value)
+        with pytest.raises(CircuitError, match="immutable"):
+            del g.label
+        assert vars(g).keys() == before.keys()
+        assert all(vars(g)[key] is value for key, value in before.items())
+
+    @pytest.mark.parametrize("kind", sorted(GATE_KINDS))
+    def test_copy_is_identity(self, kind):
+        g = GATE_KINDS[kind]()
+        assert g.copy() is g
+        inst = Instruction(g, tuple(range(g.num_qubits)))
+        assert inst.copy() is inst
+
+    def test_unitary_matrix_is_a_private_read_only_array(self):
+        source = np.eye(2, dtype=complex)
+        g = unitary_gate(source)
+        source[0, 0] = -1.0
+        assert g.matrix()[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            g._matrix[0, 0] = 2.0
+        # matrix() still hands out a private writeable copy.
+        mine = g.matrix()
+        mine[0, 0] = 3.0
+        assert g.matrix()[0, 0] == 1.0
 
 
 class TestSharedMatrixCache:

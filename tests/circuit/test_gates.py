@@ -144,10 +144,10 @@ class TestGateObject:
         with pytest.raises(CircuitError):
             gate("measure").inverse()
 
-    def test_copy_is_independent(self):
+    def test_copy_returns_the_gate_itself(self):
         g = gate("rz", 0.5)
-        copy = g.copy()
-        assert copy == g and copy is not g
+        assert g.copy() is g
+        assert g.with_label("tag") == Gate("rz", (0.5,), None, "tag")
 
     def test_hardware_basis_names_exist(self):
         for name in HARDWARE_BASIS:

@@ -309,10 +309,12 @@ class TestRegisterKinds:
 
 
 def test_parameterless_gates_are_the_interned_flyweights():
-    circuit = qasm.loads(HEADER + "qreg q[2];\nh q[0];\ncx q[0],q[1];\nrz(0.5) q[1];\n")
+    text = HEADER + "qreg q[2];\nh q[0];\ncx q[0],q[1];\nrz(0.5) q[1];\n"
+    circuit = qasm.loads(text)
     assert circuit.data[0].gate is gate("h")
     assert circuit.data[1].gate is gate("cx")
-    assert not circuit.data[2].gate._interned
+    # A parametrised gate is a fresh instance per read, equal to the constructor's.
+    assert circuit.data[2].gate is not qasm.loads(text).data[2].gate
     assert vars(circuit.data[2].gate) == vars(Gate("rz", (0.5,)))
 
 

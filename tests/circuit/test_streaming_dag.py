@@ -65,7 +65,7 @@ def test_live_window_stays_bounded():
     while not streamed.is_done():
         streamed.lookahead(20)
         peak = max(peak, streamed.num_remaining())
-        for node in streamed.front:
+        for node in list(streamed.front):
             streamed.resolve(node)
             peak = max(peak, streamed.num_remaining())
     assert streamed.retired == 5000

@@ -552,6 +552,7 @@ class TestCliIntegration:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=10)
+            process.stderr.close()
 
 
 class TestGracefulShutdown:

@@ -192,7 +192,7 @@ class TestWireHistoryBound:
         router = router_factory(coupling)
         result = router.route(circuit)
         assert result.num_swaps > 0
-        lengths = [len(history) for history in router._wire_history.values()]
+        lengths = [len(history) for history in router._out.wire_history.values()]
         assert max(lengths) <= WIRE_HISTORY_BOUND
         # Every wire saw far more operations than it retains.
         assert len(result.dag) > 10000
@@ -343,3 +343,159 @@ class TestRouteSteps:
             next(steps)
         assert len(emitted) == emitted_at_close
         assert COUNTERS.get("routing.swaps_inserted") == inserted
+
+
+def _reference_is_executable(router, node, layout):
+    if node.name == "barrier" or not node.gate.is_unitary or len(node.qubits) == 1:
+        return True
+    a, b = node.qubits
+    l2p = layout.physical_array()
+    return router._adjacent[l2p[a]][l2p[b]]
+
+
+def _reference_execute_ready_gates(router, frontier, layout, out):
+    """The full-rescan ready-gate loop: rescan a copy of the whole front, executing every
+    executable gate, until a pass executes nothing."""
+    executed_any = False
+    progress = True
+    while progress:
+        progress = False
+        for node in list(frontier.front):
+            if _reference_is_executable(router, node, layout):
+                if out is not None:
+                    l2p = layout.physical_array()
+                    physical = tuple(int(l2p[q]) for q in node.qubits)
+                    if node.name == "barrier":
+                        out.append(node.gate, physical)
+                    else:
+                        out.append(node.gate, physical, node.clbits)
+                frontier.resolve(node)
+                progress = True
+                executed_any = True
+    return executed_any
+
+
+class _ReferenceLoop:
+    """The full-rescan ready-gate loop and the array-based tie break, as a router mixin."""
+
+    def _execute_ready_gates(self, frontier, layout, out):
+        return _reference_execute_ready_gates(self, frontier, layout, out)
+
+    def _choose_swap(self, candidates, scores, rng):
+        best = scores.min()
+        best_indices = np.flatnonzero(scores <= best + 1e-12)
+        return candidates[int(best_indices[int(rng.integers(len(best_indices)))])]
+
+
+class _ReferenceSabre(_ReferenceLoop, SabreSwapRouter):
+    pass
+
+
+class _ReferenceNASSC(_ReferenceLoop, NASSCSwapRouter):
+    pass
+
+
+def _circuit_with_directives(num_qubits, depth, seed):
+    """A random circuit with barriers and mid-circuit measures between its gates."""
+    from repro.circuit.random import random_circuit
+
+    rng = np.random.default_rng(seed)
+    source = random_circuit(num_qubits, depth, seed=seed, two_qubit_prob=0.6)
+    circuit = QuantumCircuit(num_qubits, num_qubits)
+    for inst in source.data:
+        circuit.append(inst.gate, inst.qubits)
+        draw = rng.random()
+        if draw < 0.04:
+            circuit.barrier()
+        elif draw < 0.1:
+            qubits = rng.choice(num_qubits, size=int(rng.integers(1, 4)), replace=False)
+            circuit.barrier(*sorted(int(q) for q in qubits))
+        elif draw < 0.14:
+            q = int(rng.integers(num_qubits))
+            circuit.measure(q, int(rng.integers(num_qubits)))
+    circuit.measure_all()
+    return circuit
+
+
+def _routed(router_cls, circuit, coupling, window, seed):
+    """(emitted ops, RoutingResult fields) of one routing run over ``circuit``."""
+    if window is None:
+        frontier = whole_frontier(circuit.data, circuit.num_qubits, circuit.num_clbits)
+    else:
+        frontier = StreamingDAG(
+            iter(circuit.data), circuit.num_qubits, circuit.num_clbits, window_gates=window
+        )
+    emitted = []
+
+    def emit(position, op):
+        gate = op.gate
+        emitted.append((position, gate.name, gate.params, gate.label, op.qubits, op.clbits))
+
+    layout = Layout.random(circuit.num_qubits, coupling.num_qubits, seed=seed)
+    router = router_cls(coupling, seed=seed)
+    result = drive_steps(router.route_steps(frontier, layout, emit=emit))
+    fields = (
+        result.initial_layout.to_pairs(),
+        result.final_layout.to_pairs(),
+        result.num_swaps,
+        result.swap_labels,
+    )
+    return emitted, fields
+
+
+class TestReadyGateExecution:
+    """The incremental ready-gate loop runs gates exactly as full front rescans do."""
+
+    @pytest.mark.parametrize("window", [None, 1, 8], ids=["whole", "window1", "window8"])
+    @pytest.mark.parametrize(
+        "router_cls,reference_cls",
+        [(SabreSwapRouter, _ReferenceSabre), (NASSCSwapRouter, _ReferenceNASSC)],
+        ids=["sabre", "nassc"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_full_rescan_reference(self, router_cls, reference_cls, window, seed):
+        circuit = _circuit_with_directives(7, 14, seed)
+        coupling = grid_coupling_map(3, 3)
+        emitted, fields = _routed(router_cls, circuit, coupling, window, seed)
+        want_emitted, want_fields = _routed(reference_cls, circuit, coupling, window, seed)
+        assert fields[2] > 0
+        assert any(op[1] == "barrier" for op in emitted)
+        assert any(op[1] == "measure" for op in emitted)
+        assert emitted == want_emitted
+        assert fields == want_fields
+
+
+class TestLayoutSweepOutput:
+    """A sweep with no ``emit`` records its routed prefix only when scoring reads it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_output_free_sabre_sweep_matches_a_recording_sweep(self, seed):
+        circuit = random_cx_circuit(8, 60, seed=seed)
+        coupling = grid_coupling_map(3, 3)
+        forward, backward = layout_traversals(DAGCircuit.from_circuit(circuit))
+        layout = Layout.random(8, 9, seed=seed)
+        for frontier in (forward, backward):
+            router = SabreSwapRouter(coupling, seed=seed)
+            free = drive_steps(router.route_steps(frontier.copy(), layout))
+            assert router._out is None
+            recorded = []
+            recording = drive_steps(
+                router.route_steps(
+                    frontier.copy(), layout, emit=lambda position, op: recorded.append(op)
+                )
+            )
+            assert recorded and router._out is not None
+            assert free.num_swaps == recording.num_swaps > 0
+            assert free.final_layout == recording.final_layout
+            layout = free.final_layout
+
+    def test_nassc_sweep_records_the_source_gates(self):
+        circuit = random_cx_circuit(6, 30, seed=4)
+        dag = DAGCircuit.from_circuit(circuit)
+        forward, _ = layout_traversals(dag)
+        router = NASSCSwapRouter(linear_coupling_map(6), seed=4)
+        drive_steps(router.route_steps(forward.copy(), Layout.trivial(6)))
+        assert router._out is not None and len(router._out) > len(dag)
+        source_gates = {id(node.gate) for node in dag.op_nodes()}
+        routed = [op for op in router._out.data.values() if op.name != "swap"]
+        assert routed and all(id(op.gate) in source_gates for op in routed)
