@@ -1,16 +1,18 @@
 """Directed-acyclic-graph (DAG) view of a quantum circuit.
 
 The routing algorithms (SABRE and NASSC) and the commutation analysis pass both operate on
-the DAG representation described in Sec. IV-B of the paper: each node is a gate, and an edge
-``i -> j`` means gate ``i`` must execute before gate ``j`` because they share a wire.
+the DAG representation described in Sec. IV-B of the paper: each node is a gate, and a gate
+depends on its predecessor on every wire it shares with it.  :class:`DAGCircuit` records
+that relation one way only, as per-wire orders: for every qubit and clbit, the nodes on that
+wire in execution order.  Every wire is keyed by :func:`wire_keys`.
 
 Since the pass-framework refactor the DAG is also the canonical IR of the whole transpiler:
 :class:`~repro.transpiler.passmanager.PassManager` converts a circuit to a DAG exactly once
 on entry and back exactly once on exit, and every pass consumes and produces ``DAGCircuit``
 objects.  To support in-place rewriting the DAG offers a mutation API
-(:meth:`DAGCircuit.substitute_node`, :meth:`DAGCircuit.substitute_node_with_ops`,
-:meth:`DAGCircuit.remove_op_node`, :meth:`DAGCircuit.apply_operation_back`) that maintains
-two invariants:
+(:meth:`DAGCircuit.add_node`, :meth:`DAGCircuit.substitute_node`,
+:meth:`DAGCircuit.substitute_node_with_ops`, :meth:`DAGCircuit.remove_op_node`) that
+maintains two invariants:
 
 * ``_insertion_order`` is always a valid topological linearization (new nodes are spliced
   into the slot of the node they replace, whose wires they must be confined to), so
@@ -24,11 +26,24 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import CircuitError
 from .circuit import Instruction, QuantumCircuit
 from .gates import Gate
+
+
+def wire_keys(op) -> Tuple[int, ...]:
+    """Integer keys of an operation's wires, qubits first: qubit ``q`` is ``q`` and clbit
+    ``c`` is ``-1 - c``.
+
+    ``op`` is anything with ``qubits``/``clbits`` tuples (instructions, DAG nodes, timed
+    instructions).  The keys of distinct wires differ only while every index is in range,
+    so callers range-check qubits and clbits before keying them.
+    """
+    if not op.clbits:
+        return op.qubits
+    return op.qubits + tuple(-1 - c for c in op.clbits)
 
 
 @dataclass
@@ -48,9 +63,6 @@ class DAGNode:
     def num_qubits(self) -> int:
         return len(self.qubits)
 
-    def is_two_qubit(self) -> bool:
-        return len(self.qubits) == 2 and self.gate.is_unitary
-
     def to_instruction(self) -> Instruction:
         return Instruction(self.gate, self.qubits, self.clbits)
 
@@ -67,9 +79,9 @@ class DAGNode:
 class FrontierNode(DAGNode):
     """A :class:`StreamingDAG` node.
 
-    Its gate never changes, so :meth:`is_two_qubit` is computed once, at admission, into
-    :attr:`two_qubit`: the routers' front filter and executability check and
-    :meth:`StreamingDAG.lookahead` read the flag on every step.
+    Its gate never changes, so whether it is a unitary two-qubit gate is computed once, at
+    admission, into :attr:`two_qubit`: the routers' front filter and executability check
+    and :meth:`StreamingDAG.lookahead` read the flag on every step.
     """
 
     __slots__ = ("two_qubit",)
@@ -80,15 +92,13 @@ class FrontierNode(DAGNode):
         super().__init__(node_id, gate, qubits, clbits)
         self.two_qubit = len(qubits) == 2 and gate.is_unitary
 
-    def is_two_qubit(self) -> bool:
-        return self.two_qubit
-
 
 class DAGCircuit:
     """Dependency DAG over the instructions of a :class:`QuantumCircuit`.
 
-    The DAG keeps wire-level ordering: for every qubit (and classical bit) the sequence of
-    nodes touching that wire is recorded, and edges connect consecutive nodes on a wire.
+    The per-wire orders are the only dependency record: for every qubit and clbit, the
+    ids of the nodes on that wire in execution order, keyed by :func:`wire_keys`.  A node
+    depends on its predecessor in each of its wires' orders.
     """
 
     def __init__(self, num_qubits: int, num_clbits: int = 0, name: str = "dag") -> None:
@@ -97,13 +107,9 @@ class DAGCircuit:
         self.name = name
         self.metadata: Dict[str, object] = {}
         self.nodes: Dict[int, DAGNode] = {}
-        self._successors: Dict[int, Set[int]] = {}
-        self._predecessors: Dict[int, Set[int]] = {}
-        self._wire_order: Dict[Tuple[str, int], List[int]] = {
-            ("q", q): [] for q in range(num_qubits)
+        self._wire_order: Dict[int, List[int]] = {
+            wire: [] for wire in range(-num_clbits, num_qubits)
         }
-        for c in range(num_clbits):
-            self._wire_order[("c", c)] = []
         self._next_id = 0
         self._insertion_order: List[int] = []
         self._version = 0
@@ -137,6 +143,9 @@ class DAGCircuit:
         for q in qubits:
             if not 0 <= q < self.num_qubits:
                 raise CircuitError(f"qubit {q} out of range")
+        for c in clbits:
+            if not 0 <= c < self.num_clbits:
+                raise CircuitError(f"clbit {c} out of range")
         if gate.is_unitary and gate.name != "barrier" and len(qubits) != gate.num_qubits:
             raise CircuitError(
                 f"gate '{gate.name}' acts on {gate.num_qubits} qubits, got {len(qubits)}"
@@ -144,28 +153,11 @@ class DAGCircuit:
         node = DAGNode(self._next_id, gate, qubits, clbits)
         self._next_id += 1
         self.nodes[node.node_id] = node
-        self._successors[node.node_id] = set()
-        self._predecessors[node.node_id] = set()
         self._insertion_order.append(node.node_id)
-        for wire in self._wires(node):
-            order = self._wire_order[wire]
-            if order:
-                prev = order[-1]
-                self._successors[prev].add(node.node_id)
-                self._predecessors[node.node_id].add(prev)
-            order.append(node.node_id)
+        for wire in wire_keys(node):
+            self._wire_order[wire].append(node.node_id)
         self._version += 1
         return node
-
-    #: Qiskit-style alias for :meth:`add_node`.
-    apply_operation_back = add_node
-
-    @staticmethod
-    def _node_wires(node: DAGNode) -> List[Tuple[str, int]]:
-        return [("q", q) for q in node.qubits] + [("c", c) for c in node.clbits]
-
-    def _wires(self, node: DAGNode) -> List[Tuple[str, int]]:
-        return self._node_wires(node)
 
     # ------------------------------------------------------------------
     # Queries
@@ -192,57 +184,11 @@ class DAGCircuit:
             return nodes
         return [n for n in nodes if n.name == name]
 
-    def two_qubit_nodes(self) -> List[DAGNode]:
-        return [n for n in self.op_nodes() if n.is_two_qubit()]
-
-    def successors(self, node: DAGNode) -> List[DAGNode]:
-        return [self.nodes[i] for i in sorted(self._successors[node.node_id]) if i in self.nodes]
-
-    def predecessors(self, node: DAGNode) -> List[DAGNode]:
-        return [self.nodes[i] for i in sorted(self._predecessors[node.node_id]) if i in self.nodes]
-
-    def front_layer(self) -> List[DAGNode]:
-        """Nodes with no unexecuted predecessors (the paper's "executable gates")."""
-        return [n for n in self.op_nodes() if not self._predecessors[n.node_id]]
-
     def wire_nodes(self, qubit: int) -> List[DAGNode]:
         """Nodes on a qubit wire, in execution order."""
-        return [self.nodes[i] for i in self._wire_order[("q", qubit)] if i in self.nodes]
-
-    def topological_nodes(self) -> Iterator[DAGNode]:
-        """Kahn topological order, stable with respect to insertion order."""
-        indegree = {nid: len(preds) for nid, preds in self._predecessors.items() if nid in self.nodes}
-        ready = [nid for nid in self._insertion_order if nid in self.nodes and indegree[nid] == 0]
-        ready_set = set(ready)
-        emitted = 0
-        idx = 0
-        ready = list(ready)
-        while idx < len(ready):
-            nid = ready[idx]
-            idx += 1
-            emitted += 1
-            yield self.nodes[nid]
-            for succ in sorted(self._successors[nid]):
-                if succ not in indegree:
-                    continue
-                indegree[succ] -= 1
-                if indegree[succ] == 0 and succ not in ready_set:
-                    ready.append(succ)
-                    ready_set.add(succ)
-        if emitted != len(self.nodes):
-            raise CircuitError("cycle detected in DAG")
-
-    def descendants(self, node: DAGNode) -> Set[int]:
-        """All node ids reachable from ``node`` (excluding itself)."""
-        seen: Set[int] = set()
-        stack = list(self._successors[node.node_id])
-        while stack:
-            nid = stack.pop()
-            if nid in seen or nid not in self.nodes:
-                continue
-            seen.add(nid)
-            stack.extend(self._successors[nid])
-        return seen
+        if not 0 <= qubit < self.num_qubits:
+            raise CircuitError(f"qubit {qubit} out of range")
+        return [self.nodes[i] for i in self._wire_order[qubit]]
 
     def fingerprint(self) -> int:
         """Hash of the linearized circuit content, memoised by :attr:`version`.
@@ -274,28 +220,12 @@ class DAGCircuit:
     # ------------------------------------------------------------------
 
     def remove_node(self, node: DAGNode) -> None:
-        """Remove an operation, reconnecting its predecessors to its successors per wire."""
+        """Remove an operation; on each of its wires its neighbours become adjacent."""
         nid = node.node_id
         if nid not in self.nodes:
             raise CircuitError(f"node {nid} not in DAG")
-        for wire in self._wires(node):
-            order = self._wire_order[wire]
-            pos = order.index(nid)
-            prev_id = order[pos - 1] if pos > 0 else None
-            next_id = order[pos + 1] if pos + 1 < len(order) else None
-            order.pop(pos)
-            if prev_id is not None:
-                self._successors[prev_id].discard(nid)
-            if next_id is not None:
-                self._predecessors[next_id].discard(nid)
-            if prev_id is not None and next_id is not None:
-                self._successors[prev_id].add(next_id)
-                self._predecessors[next_id].add(prev_id)
-        # Drop any remaining bookkeeping for the removed node.
-        for succ in self._successors.pop(nid, set()):
-            self._predecessors.get(succ, set()).discard(nid)
-        for pred in self._predecessors.pop(nid, set()):
-            self._successors.get(pred, set()).discard(nid)
+        for wire in wire_keys(node):
+            self._wire_order[wire].remove(nid)
         del self.nodes[nid]
         self._version += 1
 
@@ -341,32 +271,15 @@ class DAGCircuit:
             fresh = DAGNode(self._next_id, inst.gate, inst.qubits, inst.clbits)
             self._next_id += 1
             self.nodes[fresh.node_id] = fresh
-            self._successors[fresh.node_id] = set()
-            self._predecessors[fresh.node_id] = set()
             new_nodes.append(fresh)
 
         order_idx = self._insertion_order.index(nid)
         self._insertion_order[order_idx : order_idx + 1] = [n.node_id for n in new_nodes]
 
-        for wire in self._wires(node):
+        for wire in wire_keys(node):
             order = self._wire_order[wire]
             pos = order.index(nid)
-            sub = [n.node_id for n in new_nodes if wire in self._wires(n)]
-            prev_id = order[pos - 1] if pos > 0 else None
-            next_id = order[pos + 1] if pos + 1 < len(order) else None
-            order[pos : pos + 1] = sub
-            chain = ([prev_id] if prev_id is not None else []) + sub + (
-                [next_id] if next_id is not None else []
-            )
-            for a, b in zip(chain, chain[1:]):
-                self._successors[a].add(b)
-                self._predecessors[b].add(a)
-
-        # Disconnect and drop the replaced node.
-        for succ in self._successors.pop(nid, set()):
-            self._predecessors.get(succ, set()).discard(nid)
-        for pred in self._predecessors.pop(nid, set()):
-            self._successors.get(pred, set()).discard(nid)
+            order[pos : pos + 1] = [n.node_id for n in new_nodes if wire in wire_keys(n)]
         del self.nodes[nid]
         self._version += 1
         return new_nodes
@@ -419,13 +332,13 @@ class StreamingDAG:
     In-memory routing is the special case of a window that admits the whole circuit up
     front (:func:`repro.transpiler.passes.sabre.whole_frontier`).
 
-    Dependency edges are the same wire edges :meth:`DAGCircuit.add_node` builds: each
+    Dependencies are the wire adjacencies of :class:`DAGCircuit`'s per-wire orders: each
     admitted operation depends on the *live* tail of every wire it touches (tails whose
-    node has already been resolved impose no constraint).  Predecessors are deduplicated
-    exactly like ``DAGCircuit``'s predecessor *sets*, so a two-qubit gate sharing both
-    wires with one predecessor counts it once.  Node ids count admissions, so successor
-    lists are naturally sorted and unique; fed a DAG's ``op_nodes()`` (insertion order),
-    the walk visits successors in the DAG's dependency order.
+    node has already been resolved impose no constraint).  A predecessor shared on
+    several wires counts once, so a two-qubit gate sharing both wires with one
+    predecessor waits for it once.  Node ids count admissions, so successor lists are
+    naturally sorted and unique; fed a DAG's ``op_nodes()`` (insertion order), the walk
+    visits successors in the DAG's dependency order.
 
     :meth:`lookahead` admits extra gates on demand (up to ``lookahead_spill`` times the
     window) when the BFS for the extended layer would otherwise run out of admitted
@@ -469,8 +382,7 @@ class StreamingDAG:
         self.nodes: Dict[int, DAGNode] = {}
         self._successors: Dict[int, List[int]] = {}
         self._remaining_pred: Dict[int, int] = {}
-        #: Live tail node id per wire; qubit ``q`` is keyed ``q``, clbit ``c`` ``-1 - c``
-        #: (integer keys keep admission free of per-wire tuple allocation).
+        #: Live tail node id per wire, keyed by :func:`wire_keys`.
         self._wire_tail: Dict[int, int] = {}
         self._front: List[FrontierNode] = []
         self._next_id = 0
@@ -478,13 +390,6 @@ class StreamingDAG:
         self.admitted = 0
         self.retired = 0
         self._fill()
-
-    @staticmethod
-    def _wire_keys(node: DAGNode) -> Sequence[int]:
-        """Keys of the node's wires in ``_wire_tail``: qubits first, then clbits."""
-        if not node.clbits:
-            return node.qubits
-        return list(node.qubits) + [-1 - c for c in node.clbits]
 
     # -- admission ---------------------------------------------------------
 
@@ -509,13 +414,16 @@ class StreamingDAG:
         for q in qubits:
             if not 0 <= q < num_qubits:
                 raise CircuitError(f"qubit {q} out of range")
+        for c in inst.clbits:
+            if not 0 <= c < self.num_clbits:
+                raise CircuitError(f"clbit {c} out of range")
         nid = self._next_id
         self._next_id = nid + 1
         node = FrontierNode(nid, inst.gate, qubits, inst.clbits)
         nodes = self.nodes
         tails = self._wire_tail
         preds: List[int] = []
-        for wire in self._wire_keys(node):
+        for wire in wire_keys(node):
             tail = tails.get(wire)
             # A stale tail (already resolved and deleted) imposes no constraint; live
             # node ids are unique so a dead id can never alias a live node.
@@ -609,7 +517,7 @@ class StreamingDAG:
             raise CircuitError(f"node {node.node_id} is not currently executable")
         nid = node.node_id
         if not self._source_done:
-            wires = self._wire_keys(node)
+            wires = wire_keys(node)
             while (
                 not self._source_done
                 and len(self.nodes) < self.max_live_gates

@@ -111,7 +111,7 @@ def _check_routable(inst: Instruction) -> None:
 
 
 def _prepared_instructions(
-    instructions: Iterable[Instruction], num_qubits: int
+    instructions: Iterable[Instruction], num_qubits: int, num_clbits: int
 ) -> Iterator[Instruction]:
     """Lazily decompose and validate the source stream (the O0 ``init`` stage, per gate).
 
@@ -124,6 +124,11 @@ def _prepared_instructions(
             if not 0 <= q < num_qubits:
                 raise TranspilerError(
                     f"qubit {q} out of range for a {num_qubits}-qubit source"
+                )
+        for c in inst.clbits:
+            if not 0 <= c < num_clbits:
+                raise TranspilerError(
+                    f"clbit {c} out of range for a {num_clbits}-clbit source"
                 )
         for lowered in decompose._decompose_instruction(inst):
             _check_routable(lowered)
@@ -246,7 +251,7 @@ def transpile_stream(
     layout = Layout.random(src_qubits, coupling.num_qubits, seed=resolved.seed)
 
     frontier = StreamingDAG(
-        _prepared_instructions(instructions, src_qubits),
+        _prepared_instructions(instructions, src_qubits, src_clbits),
         src_qubits,
         src_clbits,
         window_gates=window_gates,

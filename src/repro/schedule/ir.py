@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..circuit.dag import wire_keys
 from ..exceptions import ScheduleError
 
 #: Schema version of the serialised form.
@@ -76,6 +77,9 @@ def _set_fields(inst: TimedInstruction, name, qubits, start, duration, params, c
         raise ScheduleError(f"instruction {name!r} starts before t=0: {start}")
     if duration < 0:
         raise ScheduleError(f"instruction {name!r} has negative duration")
+    if min(qubits + clbits, default=0) < 0:
+        # Negative indices would alias other wires' keys (see ``wire_keys``).
+        raise ScheduleError(f"instruction {name!r} has a negative wire index")
     inst.__dict__.update(
         name=name, qubits=qubits, start=start, duration=duration, params=params,
         clbits=clbits,
@@ -168,10 +172,10 @@ class Schedule:
 
     def _wire_predecessors(self) -> List[Tuple[int, ...]]:
         """Per instruction, the indices of its latest predecessor on each wire."""
-        last_on_wire: Dict[Tuple[str, int], int] = {}
+        last_on_wire: Dict[int, int] = {}
         preds: List[Tuple[int, ...]] = []
         for index, inst in enumerate(self.instructions):
-            wires = [("q", q) for q in inst.qubits] + [("c", c) for c in inst.clbits]
+            wires = wire_keys(inst)
             preds.append(tuple(
                 last_on_wire[w] for w in wires if w in last_on_wire
             ))

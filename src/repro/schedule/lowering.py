@@ -20,14 +20,11 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.dag import DAGCircuit, DAGNode
+from ..circuit.dag import DAGCircuit, DAGNode, wire_keys
 from ..exceptions import ScheduleError
 from ..hardware.calibration import DeviceCalibration
 from .ir import Schedule, TimedInstruction
 from .modes import normalize_schedule_mode
-
-#: Wire key: ("q", index) for qubits, ("c", index) for classical bits.
-Wire = Tuple[str, int]
 
 
 def instruction_duration_ns(
@@ -35,10 +32,6 @@ def instruction_duration_ns(
 ) -> int:
     """Duration of one basis gate in whole nanoseconds (calibration stores seconds)."""
     return int(round(calibration.gate_duration(name, qubits) * 1e9))
-
-
-def _node_wires(node: DAGNode) -> List[Wire]:
-    return [("q", q) for q in node.qubits] + [("c", c) for c in node.clbits]
 
 
 def _check_device(dag: DAGCircuit, calibration: DeviceCalibration) -> None:
@@ -79,10 +72,10 @@ def schedule_dag(
     durations = [instruction_duration_ns(calibration, n.name, n.qubits) for n in nodes]
 
     if mode == "asap":
-        ready: Dict[Wire, int] = {}
+        ready: Dict[int, int] = {}
         starts: List[int] = []
         for node, duration in zip(nodes, durations):
-            wires = _node_wires(node)
+            wires = wire_keys(node)
             start = max((ready.get(w, 0) for w in wires), default=0)
             starts.append(start)
             for w in wires:
@@ -92,11 +85,11 @@ def schedule_dag(
         # to the end of the circuit.  Anchoring at the makespan turns that offset into
         # a latest start time; the makespan equals the ASAP one because both are the
         # same longest path over the same integers.
-        tail: Dict[Wire, int] = {}
+        tail: Dict[int, int] = {}
         offsets: List[int] = [0] * len(nodes)
         for index in range(len(nodes) - 1, -1, -1):
             node, duration = nodes[index], durations[index]
-            wires = _node_wires(node)
+            wires = wire_keys(node)
             offset = max((tail.get(w, 0) for w in wires), default=0) + duration
             offsets[index] = offset
             for w in wires:

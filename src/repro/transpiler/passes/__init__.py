@@ -13,7 +13,7 @@ from .layout import ApplyLayout, Layout, SetLayout, TrivialLayout
 from .optimize_1q import Optimize1qGates, RemoveIdentities
 from .sabre import RoutingResult, SabreLayoutSelection, SabreRouting, SabreSwapRouter
 from .swap_lowering import SwapLowering, lower_swap, swap_orientation
-from .unitary_synthesis import UnitarySynthesis, block_cx_weight, block_matrix
+from .unitary_synthesis import UnitarySynthesis, block_matrix
 
 __all__ = [
     "CheckRoutable",
@@ -40,6 +40,5 @@ __all__ = [
     "lower_swap",
     "swap_orientation",
     "UnitarySynthesis",
-    "block_cx_weight",
     "block_matrix",
 ]

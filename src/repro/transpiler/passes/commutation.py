@@ -15,7 +15,7 @@ iteration instead of being rebuilt from scratch on every invocation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -105,15 +105,15 @@ def gates_commute(inst_a, inst_b) -> bool:
 
 
 def refresh_commutation_wires(
-    dag: DAGCircuit, property_set: PropertySet, wires: Sequence[int]
+    dag: DAGCircuit, property_set: PropertySet, wires: Iterable[int]
 ) -> None:
-    """Patch the cached commutation analysis after the given qubit wires changed.
+    """(Re)build the cached commute sets of the given qubit wires.
 
     The commute-set partition is computed independently per wire, so re-scanning only the
     wires a transformation touched yields *exactly* the result a from-scratch rerun would —
     this is what lets in-place passes declare ``preserves = ("commutation_sets", ...)``
-    without ever serving a stale or overly-fine partition.  No-op when no analysis is
-    cached.
+    without ever serving a stale or overly-fine partition.  :class:`CommutationAnalysis`
+    builds every wire with it.  No-op when no analysis is cached.
     """
     sets = property_set.get("commutation_sets")
     index = property_set.get("commutation_index")
@@ -126,11 +126,15 @@ def refresh_commutation_wires(
         groups: List[List[int]] = []
         for node in dag.wire_nodes(qubit):
             if not node.gate.is_unitary or node.name == "barrier":
+                # Directives split every commute set on their wires.
                 groups.append([])
                 continue
             if not groups:
                 groups.append([])
             current = groups[-1]
+            # Bounded search (paper Sec. IV-E): very large commute sets are split rather
+            # than scanned, which is conservative (never merges gates that might not
+            # commute) and keeps the analysis O(1) per gate.
             if len(current) >= CommutationAnalysis.MAX_SET_SIZE:
                 groups.append([node.node_id])
                 index[(qubit, node.node_id)] = len(groups) - 1
@@ -161,36 +165,9 @@ class CommutationAnalysis(AnalysisPass):
     MAX_SET_SIZE = 20
 
     def run(self, dag: DAGCircuit, property_set: PropertySet) -> None:
-        sets: Dict[int, List[List[int]]] = {q: [] for q in range(dag.num_qubits)}
-        index: Dict[Tuple[int, int], int] = {}
-        for node in dag.op_nodes():
-            if not node.gate.is_unitary or node.name == "barrier":
-                # Directives split every commute set on their wires.
-                for q in node.qubits:
-                    sets[q].append([])
-                continue
-            for q in node.qubits:
-                groups = sets[q]
-                if not groups:
-                    groups.append([])
-                current = groups[-1]
-                # Bounded search (paper Sec. IV-E): very large commute sets are split rather
-                # than scanned, which is conservative (never merges gates that might not
-                # commute) and keeps the analysis O(1) per gate.
-                if len(current) >= self.MAX_SET_SIZE:
-                    groups.append([node.node_id])
-                    index[(q, node.node_id)] = len(groups) - 1
-                    continue
-                commutes_with_all = all(
-                    gates_commute(node, dag.node(other_id)) for other_id in current
-                )
-                if current and not commutes_with_all:
-                    groups.append([node.node_id])
-                else:
-                    current.append(node.node_id)
-                index[(q, node.node_id)] = len(groups) - 1
-        property_set["commutation_sets"] = sets
-        property_set["commutation_index"] = index
+        property_set["commutation_sets"] = {q: [] for q in range(dag.num_qubits)}
+        property_set["commutation_index"] = {}
+        refresh_commutation_wires(dag, property_set, range(dag.num_qubits))
 
 
 class CommutativeCancellation(TransformationPass):

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...circuit.circuit import Instruction, QuantumCircuit, expanded_gate_matrix
+from ...circuit.circuit import Instruction, expanded_gate_matrix
 from ...circuit.dag import DAGCircuit, DAGNode
 from ...obs.counters import COUNTERS
 from ...synthesis.two_qubit import SHORTEST_CORE_OPS, TwoQubitSynthesizer, weyl_decompose
@@ -70,16 +70,6 @@ def block_matrix(ops: Sequence, pair: Tuple[int, int]) -> np.ndarray:
         wires = tuple(0 if q == q0 else 1 for q in op.qubits)
         total = expanded_gate_matrix(op.gate, wires, 2) @ total
     return total
-
-
-def block_cx_weight(circuit: QuantumCircuit, positions: List[int]) -> int:
-    """Equivalent-CNOT cost of the block as currently written."""
-    weight = 0
-    for pos in positions:
-        inst = circuit.data[pos]
-        if len(inst.qubits) == 2:
-            weight += _TWO_QUBIT_WEIGHT.get(inst.name, 3)
-    return weight
 
 
 def _block_signature(nodes: List[DAGNode], pair: Tuple[int, int]) -> Optional[Tuple]:

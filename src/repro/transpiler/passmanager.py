@@ -32,7 +32,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..circuit.circuit import QuantumCircuit
+from ..circuit.circuit import QuantumCircuit, ops_depth
 from ..circuit.dag import DAGCircuit
 from ..exceptions import TranspilerError
 from ..obs.tracer import current_tracer
@@ -58,54 +58,18 @@ def _dag_stats(dag: DAGCircuit) -> Dict[str, int]:
     Traced paths record the before/after delta of these per pass; this is the "where do
     gates, depth and SWAPs actually come from" view the paper's evaluation revolves
     around.  Called only when a tracer is installed, so the untraced hot path never
-    pays for it — but traced overhead is gated in CI, hence one fused unsorted-Kahn
-    walk computing everything (the DAG's edges *are* the wire adjacencies, so the
-    longest path equals wire-frontier depth).
+    pays for it.  Depth is :meth:`QuantumCircuit.depth` of the linearization, so the
+    last pass span reports the result's depth.
     """
-    nodes = dag.nodes
-    if not nodes:
-        return {"gates": 0, "depth": 0, "two_qubit": 0, "swaps": 0}
-    preds = dag._predecessors
-    succs = dag._successors
-    # Node ids come from a per-DAG counter, so flat lists indexed by id beat dicts.
-    size = dag._next_id
-    indegree = [0] * size
-    level = [0] * size
-    ready: List[int] = []
+    nodes = dag.op_nodes()
     two_q = 0
     swaps = 0
-    for nid, node in nodes.items():
+    for node in nodes:
         if len(node.qubits) == 2:
             two_q += 1
             if node.name == "swap":
                 swaps += 1
-        degree = len(preds[nid])
-        if degree:
-            indegree[nid] = degree
-        else:
-            ready.append(nid)
-    depth = 0
-    idx = 0
-    while idx < len(ready):
-        nid = ready[idx]
-        idx += 1
-        best = 0
-        for pred in preds[nid]:
-            pred_level = level[pred]
-            if pred_level > best:
-                best = pred_level
-        best += 1
-        level[nid] = best
-        if best > depth:
-            depth = best
-        for succ in succs[nid]:
-            remaining = indegree[succ] - 1
-            indegree[succ] = remaining
-            if not remaining:
-                ready.append(succ)
-    if idx != len(nodes):  # pragma: no cover - cycles are rejected at mutation time
-        for _ in dag.topological_nodes():  # raises the canonical cycle error
-            pass
+    depth = ops_depth(nodes, dag.num_qubits, dag.num_clbits)
     return {"gates": len(nodes), "depth": depth, "two_qubit": two_q, "swaps": swaps}
 
 
@@ -336,6 +300,3 @@ class PassManager:
         for name, elapsed in self.timing_log:
             out[name] = out.get(name, 0.0) + elapsed
         return out
-
-    def total_time(self) -> float:
-        return sum(elapsed for _, elapsed in self.timing_log)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.circuit import DAGCircuit, QuantumCircuit, StreamingDAG, random_circuit
+from repro.circuit.gates import gate as make_gate
 from repro.exceptions import CircuitError
 from repro.transpiler.passes.sabre import whole_frontier
 
@@ -25,49 +26,37 @@ class TestDAGConstruction:
         assert [i.name for i in rebuilt.data if 0 in i.qubits] == ["h", "cx"]
         assert [i.qubits for i in rebuilt.data if 2 in i.qubits] == [(2, 3), (1, 2)]
 
-    def test_front_layer(self):
+    def test_wire_nodes_follow_execution_order(self):
         dag = DAGCircuit.from_circuit(layered_circuit())
-        front = dag.front_layer()
-        assert {n.name for n in front} == {"h", "cx"}
-        assert {n.qubits for n in front} == {(0,), (2, 3)}
-
-    def test_successors_and_predecessors(self):
-        dag = DAGCircuit.from_circuit(layered_circuit())
-        nodes = dag.op_nodes()
-        h_node = nodes[0]
-        cx01 = nodes[1]
-        assert dag.successors(h_node) == [cx01]
-        assert dag.predecessors(cx01) == [h_node]
-
-    def test_topological_order_respects_dependencies(self):
-        dag = DAGCircuit.from_circuit(layered_circuit())
-        order = [n.node_id for n in dag.topological_nodes()]
-        position = {nid: i for i, nid in enumerate(order)}
-        for node in dag.op_nodes():
-            for succ in dag.successors(node):
-                assert position[node.node_id] < position[succ.node_id]
-
-    def test_descendants(self):
-        dag = DAGCircuit.from_circuit(layered_circuit())
-        nodes = dag.op_nodes()
-        assert nodes[3].node_id in dag.descendants(nodes[0])
-
-    def test_two_qubit_nodes(self):
-        dag = DAGCircuit.from_circuit(layered_circuit())
-        assert len(dag.two_qubit_nodes()) == 3
+        assert [n.name for n in dag.wire_nodes(0)] == ["h", "cx"]
+        assert [n.qubits for n in dag.wire_nodes(2)] == [(2, 3), (1, 2)]
+        assert [n.name for n in dag.wire_nodes(3)] == ["cx", "x"]
+        with pytest.raises(CircuitError, match="out of range"):
+            dag.wire_nodes(-1)
 
     def test_out_of_range_qubit_rejected(self):
         dag = DAGCircuit(2)
         with pytest.raises(CircuitError):
             dag.add_node(layered_circuit().data[0].gate, (5,))
 
+    @pytest.mark.parametrize("clbit", [-1, 5])
+    def test_out_of_range_clbit_rejected(self, clbit):
+        # Clbit -1 must not alias another wire: it would key qubit 0's order.
+        dag = DAGCircuit(2, 1)
+        with pytest.raises(CircuitError, match=f"clbit {clbit} out of range"):
+            dag.add_node(make_gate("measure"), (1,), (clbit,))
+        assert len(dag) == 0
+
     def test_measure_creates_clbit_dependency(self):
         circuit = QuantumCircuit(2, 1)
         circuit.measure(0, 0)
         circuit.measure(1, 0)
         dag = DAGCircuit.from_circuit(circuit)
-        nodes = dag.op_nodes()
-        assert dag.predecessors(nodes[1]) == [nodes[0]]
+        first, second = dag.op_nodes()
+        # The measures share no qubit, so only the clbit orders them.
+        frontier = whole_window(dag)
+        assert [n.node_id for n in frontier.front] == [first.node_id]
+        assert [n.node_id for n in frontier.resolve(frontier.front[0])] == [second.node_id]
 
 
 class TestRemoveNode:
@@ -80,14 +69,14 @@ class TestRemoveNode:
         nodes = dag.op_nodes()
         dag.remove_node(nodes[1])
         assert len(dag) == 2
-        remaining = dag.op_nodes()
-        assert dag.successors(remaining[0]) == [remaining[1]]
+        assert dag.wire_nodes(0) == [nodes[0], nodes[2]]
+        assert dag.wire_nodes(1) == [nodes[2]]
 
     def test_remove_front_node_updates_front_layer(self):
         dag = DAGCircuit.from_circuit(layered_circuit())
         first = dag.op_nodes()[0]
         dag.remove_node(first)
-        assert all(n.node_id != first.node_id for n in dag.front_layer())
+        assert {n.qubits for n in whole_window(dag).front} == {(0, 1), (2, 3)}
 
     def test_remove_missing_node_raises(self):
         dag = DAGCircuit.from_circuit(layered_circuit())
@@ -145,30 +134,40 @@ class TestWholeWindowFrontier:
         assert len(frontier.lookahead(3)) == 3
 
     def test_walk_follows_dag_dependencies(self):
-        # Node ids follow insertion order, so every step must match the DAG's own
-        # dependency sets: the front is exactly the unresolved nodes whose predecessors
-        # are all resolved, and a resolve unlocks successors in ascending id order.
+        # Node ids follow insertion order, so every step must match the source's own
+        # dependencies: the front is exactly the unresolved nodes whose predecessors are
+        # all resolved, and a resolve unlocks successors in ascending id order.
         circuit = random_circuit(6, 15, seed=11)
         circuit.measure_all()
         dag = DAGCircuit.from_circuit(circuit)
         frontier = whole_window(dag)
+        preds = source_predecessors(circuit)
         resolved = set()
 
-        def ready(node):
-            return node.node_id not in resolved and all(
-                pred.node_id in resolved for pred in dag.predecessors(node)
-            )
+        def ready(nid):
+            return nid not in resolved and preds[nid] <= resolved
 
         steps = 0
         while not frontier.is_done():
             front = frontier.front
-            assert {n.node_id for n in front} == {n.node_id for n in dag.op_nodes() if ready(n)}
+            assert {n.node_id for n in front} == {i for i in range(len(preds)) if ready(i)}
             node = front[steps % len(front)]
             newly = frontier.resolve(node)
             resolved.add(node.node_id)
-            dag_node = dag.node(node.node_id)
             assert [n.node_id for n in newly] == [
-                s.node_id for s in dag.successors(dag_node) if ready(s)
+                i for i in range(len(preds)) if node.node_id in preds[i] and ready(i)
             ]
             steps += 1
         assert steps == len(dag)
+
+
+def source_predecessors(circuit: QuantumCircuit):
+    """Per instruction, the last earlier instruction on each qubit or clbit it shares."""
+    last_on_wire = {}
+    preds = []
+    for index, inst in enumerate(circuit.data):
+        wires = [("q", q) for q in inst.qubits] + [("c", c) for c in inst.clbits]
+        preds.append({last_on_wire[w] for w in wires if w in last_on_wire})
+        for w in wires:
+            last_on_wire[w] = index
+    return preds

@@ -9,7 +9,7 @@ up front, so its lookahead-spill and pre-retirement fill branches never run.
 
 import pytest
 
-from repro.circuit import StreamingDAG, random_circuit
+from repro.circuit import Instruction, StreamingDAG, gate, random_circuit
 from repro.circuit.random import random_circuit_stream
 from repro.exceptions import CircuitError
 from repro.transpiler.passes.sabre import whole_frontier
@@ -90,6 +90,14 @@ def test_out_of_range_qubit_rejected():
     circuit = random_circuit(5, 4, seed=2)
     with pytest.raises(CircuitError, match="out of range"):
         StreamingDAG(iter(circuit.data), 3, window_gates=1024).is_done()
+
+
+@pytest.mark.parametrize("clbit", [-1, 5])
+def test_out_of_range_clbit_rejected(clbit):
+    # Clbit -1 must not alias another wire: it would key qubit 0's tail.
+    source = [Instruction(gate("measure"), (1,), (clbit,))]
+    with pytest.raises(CircuitError, match=f"clbit {clbit} out of range"):
+        StreamingDAG(iter(source), 2, 1, window_gates=1024).is_done()
 
 
 def test_version_bumps_on_resolve():

@@ -21,7 +21,7 @@ from repro import (
     transpile,
     transpile_stream,
 )
-from repro.circuit import qasm, random_circuit, random_circuit_stream
+from repro.circuit import Instruction, gate, qasm, random_circuit, random_circuit_stream
 from repro.exceptions import TranspilerError
 
 
@@ -54,6 +54,14 @@ class TestValidation:
         opts = TranspileOptions(routing="sabre", level="O0", layout_iterations=2, seed=0)
         with pytest.raises(TranspilerError, match="layout_iterations"):
             next(transpile_stream(circ, GRID_TARGET, options=opts))
+
+    @pytest.mark.parametrize("clbit", [-1, 5])
+    def test_rejects_out_of_range_clbits(self, clbit):
+        # Clbit -1 used to be emitted as ``c[-1]`` and clbit 5 to die in an IndexError.
+        source = [Instruction(gate("h"), (0,)), Instruction(gate("measure"), (1,), (clbit,))]
+        opts = TranspileOptions(routing="sabre", **O0)
+        with pytest.raises(TranspilerError, match=f"clbit {clbit} out of range"):
+            stream_text(source, GRID_TARGET, opts, num_qubits=2, num_clbits=1)
 
     def test_rejects_best_of_ensembles(self):
         circ = random_circuit(4, 3, seed=0)

@@ -56,6 +56,29 @@ class TestTracedTranspile:
         assert root.attrs["gates"] == len(result.circuit.data)
         assert root.attrs["depth"] == result.depth
 
+    def test_last_pass_span_depth_is_result_depth(self):
+        # Barriers synchronise wires without adding a layer, and measures order through
+        # their clbits: pass spans must count depth the way QuantumCircuit.depth does.
+        circuit = QuantumCircuit(3, 3)
+        circuit.h(0)
+        circuit.cx(0, 1)
+        circuit.cx(1, 2)
+        circuit.barrier()
+        circuit.t(2)
+        circuit.cx(0, 2)
+        circuit.barrier()
+        for q in range(3):
+            circuit.measure(q, q)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = transpile(circuit, Target.from_topology("linear", 3), level="O1", seed=0)
+        passes = [
+            span for span in tracer.finished
+            if span.name.startswith("pass:") and "depth" in span.attrs
+        ]
+        root = tracer.finished[-1]
+        assert passes[-1].attrs["depth"] == result.depth == root.attrs["depth"]
+
     def test_pass_spans_carry_dag_deltas(self):
         from repro.benchlib.qft import qft
 

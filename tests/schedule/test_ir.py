@@ -53,6 +53,15 @@ class TestTimedInstruction:
         assert [type(v) for v in fields] == [int, int, int, int, float, float, float, int]
         assert float.hex(decoded.params[2]) == float.hex(-0.0)
 
+    @pytest.mark.parametrize("qubits,clbits", [((-1,), ()), ((0,), (-1,))])
+    def test_negative_wire_index_rejected(self, qubits, clbits):
+        # A negative index would share a wire key with another wire.
+        message = "^instruction 'measure' has a negative wire index$"
+        with pytest.raises(ScheduleError, match=message):
+            TimedInstruction("measure", qubits, 0, 100, clbits=clbits)
+        with pytest.raises(ScheduleError, match=message):
+            TimedInstruction.from_list(["measure", list(qubits), 0, 100, [], list(clbits)])
+
     @pytest.mark.parametrize(
         "start,duration,message",
         [

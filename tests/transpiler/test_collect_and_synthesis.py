@@ -13,7 +13,7 @@ from repro.circuit.gates import gate as make_gate
 from repro.obs import COUNTERS
 from repro.synthesis import TwoQubitSynthesizer
 from repro.transpiler import PassManager, PropertySet
-from repro.transpiler.passes import Collect2qBlocks, UnitarySynthesis, block_cx_weight, block_matrix
+from repro.transpiler.passes import Collect2qBlocks, UnitarySynthesis, block_matrix
 from repro.transpiler.passes import unitary_synthesis
 
 from ..conftest import assert_unitary_equiv
@@ -77,13 +77,12 @@ class TestCollect2qBlocks:
         assert props["block_id"][0] == 0
         assert props["block_id"][1] == 1
 
-    def test_block_matrix_and_weight_helpers(self):
+    def test_block_matrix_helper(self):
         circuit = QuantumCircuit(2)
         circuit.cx(0, 1)
         circuit.swap(0, 1)
         props = collect(circuit)
         positions = props["block_list"][0]
-        assert block_cx_weight(circuit, positions) == 4  # cx (1) + swap (3)
         matrix = block_matrix([circuit.data[p] for p in positions], (0, 1))
         assert matrix.shape == (4, 4)
 

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuit import Instruction, QuantumCircuit, gate, random_circuit
+from repro.circuit import DAGCircuit, Instruction, QuantumCircuit, gate, random_circuit
 from repro.transpiler import PassManager, PropertySet
-from repro.transpiler.passes import CommutationAnalysis, CommutativeCancellation, gates_commute
+from repro.transpiler.passes import (
+    CommutationAnalysis,
+    CommutativeCancellation,
+    RemoveIdentities,
+    gates_commute,
+)
 
 from ..conftest import assert_unitary_equiv
 
@@ -178,3 +183,48 @@ class TestCommutativeCancellation:
         optimized = self.run_pass(circuit)
         assert_unitary_equiv(circuit, optimized)
         assert optimized.cx_count() <= circuit.cx_count()
+
+
+@st.composite
+def rewritable_circuits(draw):
+    """Random circuits with barriers, measures, cancelling CX pairs and zero rotations."""
+    num_qubits = draw(st.integers(2, 4))
+    circuit = QuantumCircuit(num_qubits, num_qubits)
+    qubit = st.integers(0, num_qubits - 1)
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(("1q", "zero", "cx", "cx_pair", "barrier", "measure")))
+        if kind == "1q":
+            name = draw(st.sampled_from(("h", "x", "z", "t", "s", "sx", "rz", "rx")))
+            params = (draw(st.sampled_from((0.25, -0.25, np.pi))),) if name in ("rz", "rx") else ()
+            circuit.append(gate(name, *params), [draw(qubit)])
+        elif kind == "zero":
+            name = draw(st.sampled_from(("rz", "rx", "p", "id")))
+            circuit.append(gate(name, *(() if name == "id" else (0.0,))), [draw(qubit)])
+        elif kind in ("cx", "cx_pair"):
+            control, target = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            for _ in range(1 if kind == "cx" else 2):
+                circuit.cx(control, target)
+        elif kind == "barrier":
+            circuit.barrier(*draw(st.lists(qubit, min_size=1, max_size=num_qubits, unique=True)))
+        else:
+            circuit.measure(draw(qubit), draw(qubit))
+    return circuit
+
+
+class TestPreservedAnalysis:
+    @settings(max_examples=150, deadline=None)
+    @given(rewritable_circuits())
+    def test_patched_analysis_equals_a_fresh_one(self, circuit):
+        # Both rewriting passes declare the analysis in ``preserves`` and patch it; the
+        # second cancellation runs on the patched sets, as the optimization loop does.
+        pm = PassManager([
+            CommutationAnalysis(),
+            CommutativeCancellation(),
+            RemoveIdentities(),
+            CommutativeCancellation(),
+        ])
+        dag = pm.run_dag(DAGCircuit.from_circuit(circuit))
+        fresh = PropertySet()
+        CommutationAnalysis().run(dag, fresh)
+        assert pm.property_set["commutation_sets"] == fresh["commutation_sets"]
+        assert pm.property_set["commutation_index"] == fresh["commutation_index"]

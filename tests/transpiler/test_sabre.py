@@ -258,7 +258,7 @@ class TestScoringTables:
         frontier = StreamingDAG(circuit.data, 8, window_gates=1)
 
         def two_qubit_front():
-            return [node for node in frontier.front if node.is_two_qubit()]
+            return [node for node in frontier.front if node.two_qubit]
 
         # A step computes its front before the lookahead (which may grow the front); a
         # step that runs no lookahead sees the front the previous step left behind.
